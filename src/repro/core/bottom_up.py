@@ -684,6 +684,14 @@ class GroundLinear:
     ``bases`` caches, per QList, each node's precomputed leaf-entry
     mask -- the only part of the pass that looks at labels/texts -- so
     resident holders re-evaluate a fragment without touching the tree.
+
+    A content edit is spliced in place (:meth:`relabel`,
+    :meth:`insert_leaf`, :meth:`delete_subtree`, then one
+    :meth:`relevel` per batch of edits): the arrays and every cached
+    ``bases`` list change only at the touched postorder range, so the
+    per-query base caches survive an update.  A content edit cannot
+    make a ground fragment virtual or the reverse, so the linearization
+    never has to be dropped for one.
     """
 
     __slots__ = ("parents", "levels", "labels", "texts", "size", "bases")
@@ -695,6 +703,56 @@ class GroundLinear:
         self.texts = texts
         self.size = len(parents)
         self.bases: dict = {}
+
+    def relevel(self) -> None:
+        """Rebuild ``levels`` (and ``size``) from ``parents`` after a
+        splice, in one integer pass."""
+        parents = self.parents
+        heights = [0] * len(parents)
+        for index, parent in enumerate(parents):
+            # Postorder: a node's children all precede it, so its own
+            # height is final by the time it lifts its parent's.
+            if parent >= 0 and heights[index] >= heights[parent]:
+                heights[parent] = heights[index] + 1
+        levels: list[list[int]] = [[] for _ in range(heights[-1] + 1)]
+        for index, height in enumerate(heights):
+            levels[height].append(index)
+        self.levels = levels
+        self.size = len(parents)
+
+    def relabel(self, index: int, label: str, text: Optional[str]) -> None:
+        """Node ``index`` now carries ``label``/``text``."""
+        self.labels[index] = label
+        self.texts[index] = text
+        for qlist, bases in self.bases.items():
+            bases[index] = _node_base(qlist, label, text)
+
+    def insert_leaf(self, index: int, label: str, text: Optional[str]) -> None:
+        """A fresh last child under the node at ``index``.
+
+        In postorder the new leaf takes its parent's place and the
+        parent (with everything after it) moves up by one.
+        """
+        self.parents[:] = [p + 1 if p >= index else p for p in self.parents]
+        self.parents.insert(index, index + 1)
+        self.labels.insert(index, label)
+        self.texts.insert(index, text)
+        for qlist, bases in self.bases.items():
+            bases.insert(index, _node_base(qlist, label, text))
+
+    def delete_subtree(self, index: int, size: int) -> None:
+        """Drop the ``size``-node subtree rooted at ``index``.
+
+        A subtree is the contiguous postorder range ending at its
+        root; only nodes after it can have a parent that moves.
+        """
+        start = index - size + 1
+        del self.parents[start : index + 1]
+        self.parents[:] = [p - size if p > index else p for p in self.parents]
+        del self.labels[start : index + 1]
+        del self.texts[start : index + 1]
+        for bases in self.bases.values():
+            del bases[start : index + 1]
 
 
 def linearize_ground(fragment: Fragment) -> Optional[GroundLinear]:
@@ -729,6 +787,15 @@ def linearize_ground(fragment: Fragment) -> Optional[GroundLinear]:
     for index, height in enumerate(heights):
         levels[height].append(index)
     return GroundLinear(parents, levels, labels, texts)
+
+
+def _node_base(qlist: QList, label: str, text: Optional[str]) -> int:
+    """One node's leaf-entry mask under ``qlist`` (see :func:`_linear_bases`)."""
+    eps_mask, label_masks, text_masks = _ground_program(qlist, compile_entries(qlist))[:3]
+    base = eps_mask | label_masks.get(label, 0)
+    if text is not None:
+        base |= text_masks.get(text, 0)
+    return base
 
 
 def _linear_bases(linear: GroundLinear, program: tuple, qlist: QList) -> list[int]:

@@ -17,22 +17,24 @@ module makes the parallelism real while keeping the simulation honest:
   a real pool exercising the engines' fork/join) and real overlap on
   GIL-releasing workloads or free-threaded builds;
 * :class:`ProcessSiteExecutor` -- **persistent site workers with
-  resident fragment state**.  Each long-lived worker process receives a
-  fragment's wire form (serialized XML) exactly once per epoch --
-  content-addressed by :attr:`Fragment.epoch`, invalidated by the
-  typed update ops, cluster split/merge and the stream maintainer --
-  and keeps the parsed fragment plus its linearized form resident
-  (:class:`~repro.distsim.resident.ResidentSiteState`, shared with the
-  networked serving tier).  Batches then ship only ``(fragment_id,
-  epoch)`` references and the query program; replies travel as compact
-  triplets whose large bitmasks ride pickle protocol-5 out-of-band
-  buffers (:mod:`~repro.distsim.transport`), with
-  ``multiprocessing.shared_memory`` for bulk totals.  A worker that
-  missed an invalidation answers with a typed *stale* reply and the
-  dispatcher re-pushes and retries -- the in-process mirror of the
-  serving tier's ``unknown-fragment`` self-heal.  ``resident=False``
-  keeps the workers but re-ships full payloads per batch (the
-  dispatch-tax baseline the benchmarks measure against).
+  resident fragment state**.  Each long-lived worker process is brought
+  to each epoch of a fragment exactly once -- content-addressed by
+  :attr:`Fragment.epoch`, invalidated by the typed update ops, cluster
+  split/merge and the stream maintainer -- by the fragment's wire form
+  (serialized XML) or, after a journalled content edit, by the edit
+  alone (a *patch*), and keeps the parsed fragment plus its linearized
+  form resident (:class:`~repro.distsim.resident.ResidentSiteState`,
+  shared with the networked serving tier).  Batches then ship only
+  ``(fragment_id, epoch)`` references and the query program; replies
+  travel as compact triplets whose large bitmasks ride pickle
+  protocol-5 out-of-band buffers (:mod:`~repro.distsim.transport`),
+  with ``multiprocessing.shared_memory`` for bulk totals.  A worker
+  that missed an invalidation (or a patch's base epoch) answers with a
+  typed *stale* reply and the dispatcher re-pushes in full and retries
+  -- the in-process mirror of the serving tier's ``unknown-fragment``
+  self-heal.  ``resident=False`` keeps the workers but re-ships full
+  payloads per batch (the dispatch-tax baseline the benchmarks measure
+  against).
 
 The unit of dispatch is a :class:`SiteJob`: "this site partially
 evaluates these fragments against this QList with this algebra".  Every
@@ -427,6 +429,10 @@ def _resident_worker_main(conn) -> None:
     site batch into one pipe write gets one wakeup back.  Messages:
 
     * ``("push", wires)`` -- install ``(id, epoch, xml)`` triples;
+    * ``("patch", patches)`` -- bring resident fragments forward by
+      journalled content edits, ``(id, base_epoch, new_epoch, edits)``
+      each; one whose ``base_epoch`` is not held is dropped, and the
+      job that follows answers *stale*;
     * ``("retire", ids)`` -- drop resident fragments;
     * ``("job", site_id, refs, fingerprint, qlist_obj, algebra, segments
       [, trace])`` -- evaluate resident fragments; answers
@@ -484,6 +490,8 @@ def _resident_worker_main(conn) -> None:
                 return reply
             if kind == "push":
                 return ("ok", state.store(message[1]))
+            if kind == "patch":
+                return ("ok", state.patch(message[1]))
             if kind == "retire":
                 return ("ok", state.retire(message[1]))
             if kind == "rawjob":
@@ -494,6 +502,7 @@ def _resident_worker_main(conn) -> None:
                     {
                         "resident": state.resident_epochs(),
                         "receive_counts": dict(state.receive_counts),
+                        "digests": state.content_digests(),
                         "queries": sorted(state.queries),
                     },
                 )
@@ -535,9 +544,9 @@ class _ResidentWorker:
         self.process = process
         self.conn = conn
         #: The dispatcher's model of the worker's residency:
-        #: fragment id -> epoch last pushed.  Optimistic (updated at
-        #: enqueue); any desync is caught by the worker's epoch check
-        #: and healed by re-push.
+        #: fragment id -> epoch last pushed or patched to.  Optimistic
+        #: (updated at enqueue); any desync is caught by the worker's
+        #: epoch check and healed by re-push.
         self.resident: dict[str, int] = {}
         #: Coalesces this worker's submissions into framed pipe writes
         #: (one wakeup per flush); dies and is rebuilt with the worker.
@@ -558,19 +567,26 @@ class ProcessSiteExecutor(SiteExecutor):
     Workers are long-lived ``multiprocessing`` processes wired to the
     dispatcher by one duplex pipe each.  Sites gain worker *affinity*
     on first dispatch (round-robin over ``max_workers``), so a site's
-    fragments are pushed to exactly one worker and stay resident there;
-    each push is recorded in :attr:`ship_log` as ``(worker, fragment,
+    fragments are pushed to exactly one worker and stay resident there.
+    When a fragment's epoch moves on, a worker whose modelled epoch is
+    still on the fragment's edit journal
+    (:meth:`~repro.fragments.fragment.Fragment.edits_since`) is sent
+    the edits as a *patch*; boot, structural ops, moves, respawns and
+    a journal the worker has fallen off keep the full push.  Either
+    delivery is recorded in :attr:`ship_log` as ``(worker, fragment,
     epoch)`` and never repeated for the same epoch.  Jobs then carry
     only references and the query program, and all jobs of a batch are
     multiplexed over the worker pipes concurrently (strict one-
     outstanding-message-per-worker request-reply, so a 1-worker pool is
     deadlock-free by construction).
 
-    Self-healing: a worker that missed an invalidation answers *stale*
-    and the dispatcher re-pushes exactly the named fragments and
+    Self-healing: a worker that missed an invalidation (or dropped a
+    patch whose base epoch it lacked) answers *stale* and the
+    dispatcher re-pushes exactly the named fragments in full and
     retries; a dead worker is respawned, its residency model reset, and
-    its in-flight jobs re-dispatched.  ``stats`` counts ships, jobs,
-    submits (framed pipe writes), stale retries and respawns.
+    its in-flight jobs re-dispatched.  ``stats`` counts ships (full
+    pushes), patches, jobs, submits (framed pipe writes), stale retries
+    and respawns.
 
     Submission is **batched** by default: everything queued for one
     worker -- catch-up pushes and all of the batch's jobs bound to it
@@ -605,9 +621,11 @@ class ProcessSiteExecutor(SiteExecutor):
         self.max_workers = max_workers or min(8, os.cpu_count() or 2)
         self.resident = resident
         self.batch_submission = batch_submission
-        #: Counter: ships / jobs / submits / stale_retries / respawns / retired.
+        #: Counter: ships / patches / jobs / submits / stale_retries /
+        #: respawns / retired.
         self.stats: Counter = Counter()
-        #: Every fragment push: ``(worker_index, fragment_id, epoch)``.
+        #: Every delivery of an epoch, by push or by patch:
+        #: ``(worker_index, fragment_id, epoch)``.
         self.ship_log: list[tuple[int, str, int]] = []
         self._workers: list[Optional[_ResidentWorker]] = [None] * self.max_workers
         self._site_affinity: dict[str, int] = {}
@@ -626,7 +644,8 @@ class ProcessSiteExecutor(SiteExecutor):
         if obs_metrics._REGISTRY is not None:
             obs_metrics._REGISTRY.counter(
                 "executor_events_total",
-                "Resident-executor events: ships, jobs, submits, stale_retries, respawns, retired",
+                "Resident-executor events: ships, patches, jobs, submits, "
+                "stale_retries, respawns, retired",
                 labelnames=("event",),
             ).labels(event=event).inc(n)
 
@@ -683,7 +702,7 @@ class ProcessSiteExecutor(SiteExecutor):
     def _dispatch(self, jobs: list[SiteJob]) -> list[SiteOutcome]:
         outcomes: list[Optional[SiteOutcome]] = [None] * len(jobs)
         attempts = [0] * len(jobs)
-        # queue item: (payload, tag); tag = ("push",) or ("job", index)
+        # queue item: (payload, tag); tag = ("push",), ("patch",) or ("job", index)
         queues: dict[int, deque] = {}
         for job_index, job in enumerate(jobs):
             worker = self._worker_for(job.site_id)
@@ -693,29 +712,59 @@ class ProcessSiteExecutor(SiteExecutor):
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 
-    def _enqueue(self, queue: deque, worker: _ResidentWorker, job_index: int, job: SiteJob) -> None:
-        """Queue one job (and any catch-up pushes) for ``worker``.
+    def _catch_up(self, worker: _ResidentWorker, fragments) -> list[tuple]:
+        """The messages bringing ``worker`` to ``fragments``' live epochs.
 
-        In resident mode the push set is computed against the
-        dispatcher's residency model and the model updated here, at
-        enqueue time, so back-to-back jobs referencing the same
-        fragment queue exactly one push between them.
+        Computed against the dispatcher's residency model, which is
+        updated here, so back-to-back callers referencing the same
+        fragment produce exactly one delivery between them.  A worker
+        modelled on the fragment's edit journal gets the edits (a
+        *patch*); any other -- never pushed to, respawned, or behind a
+        chain break -- the full wire form.
+        """
+        wires, patches = [], []
+        for fragment in fragments:
+            fragment_id, epoch = fragment.fragment_id, fragment.epoch
+            held = worker.resident.get(fragment_id)
+            if held == epoch:
+                continue
+            edits = fragment.edits_since(held)
+            if edits is None:
+                wires.append(resident_fragment_wire(fragment))
+                self._count("ships")
+            else:
+                patches.append((fragment_id, held, epoch, edits))
+                self._count("patches")
+            worker.resident[fragment_id] = epoch
+            self.ship_log.append((worker.index, fragment_id, epoch))
+        messages = []
+        if wires:
+            messages.append(("push", tuple(wires)))
+        if patches:
+            messages.append(("patch", tuple(patches)))
+        return messages
+
+    def _enqueue(
+        self,
+        queue: deque,
+        worker: _ResidentWorker,
+        job_index: int,
+        job: SiteJob,
+        redispatch: bool = False,
+    ) -> None:
+        """Queue one job (and any catch-up pushes/patches) for ``worker``.
+
+        ``redispatch`` marks the retry of a job already counted (stale
+        reply, worker death): it is queued again but not a new job.
         """
         algebra_name = algebra_wire_name(job.algebra)  # validate before any send
+        if not redispatch:
+            self._count("jobs")
         if not self.resident:
             queue.append((("rawjob", _job_payload(job)), ("job", job_index)))
-            self._count("jobs")
             return
-        wires = []
-        for fragment in job.fragments:
-            epoch = fragment.epoch
-            if worker.resident.get(fragment.fragment_id) != epoch:
-                wires.append(resident_fragment_wire(fragment))
-                worker.resident[fragment.fragment_id] = epoch
-                self.ship_log.append((worker.index, fragment.fragment_id, epoch))
-                self._count("ships")
-        if wires:
-            queue.append((("push", tuple(wires)), ("push",)))
+        for message in self._catch_up(worker, job.fragments):
+            queue.append((message, (message[0],)))
         from repro.distsim.resident import qlist_fingerprint  # local: import cycle
 
         payload = (
@@ -730,7 +779,6 @@ class ProcessSiteExecutor(SiteExecutor):
         if self._current_trace is not None:
             payload += (self._current_trace.to_wire(),)
         queue.append((payload, ("job", job_index)))
-        self._count("jobs")
 
     def _pump(
         self,
@@ -810,7 +858,8 @@ class ProcessSiteExecutor(SiteExecutor):
 
         ``tags`` names every message of the lost frame.  The fresh
         worker's residency model starts empty, so each re-queued job
-        recomputes its full push set; a lost *push* needs no replay --
+        recomputes its full push set (never a patch: there is nothing
+        resident to patch); a lost *push* or *patch* needs no replay --
         the next job referencing those fragments will draw a stale
         reply and self-heal.
         """
@@ -825,8 +874,10 @@ class ProcessSiteExecutor(SiteExecutor):
                     f"site worker {index} died repeatedly running "
                     f"job for site {jobs[job_index].site_id!r}"
                 )
-            self._enqueue(queues.setdefault(index, deque()), worker, job_index, jobs[job_index])
-            self.stats["jobs"] -= 1  # re-dispatch, not a new job
+            self._enqueue(
+                queues.setdefault(index, deque()), worker, job_index, jobs[job_index],
+                redispatch=True,
+            )
 
     def _on_reply(
         self,
@@ -860,8 +911,9 @@ class ProcessSiteExecutor(SiteExecutor):
             worker = self._workers[index]
             for fragment_id in reply[1]:  # drop the desynced model entries
                 worker.resident.pop(fragment_id, None)
-            self._enqueue(queues.setdefault(index, deque()), worker, job_index, job)
-            self.stats["jobs"] -= 1  # re-dispatch, not a new job
+            self._enqueue(
+                queues.setdefault(index, deque()), worker, job_index, job, redispatch=True
+            )
             return
         if kind == "error":
             raise RuntimeError(f"site worker {index} failed: {reply[1]}: {reply[2]}")
@@ -876,7 +928,8 @@ class ProcessSiteExecutor(SiteExecutor):
         The opt-in warm start (also reachable as ``warm=cluster`` at
         construction): after it, the first batch pays neither worker
         spawn nor the full-state ship.  Returns the number of fragments
-        shipped; idempotent for unchanged epochs.
+        brought up to date (pushed, or patched when called again after
+        content edits); idempotent for unchanged epochs.
         """
         if not self.resident:
             return 0
@@ -889,20 +942,12 @@ class ProcessSiteExecutor(SiteExecutor):
                 if not fragments:
                     continue
                 worker = self._worker_for(site.site_id)
-                wires = []
-                for fragment in fragments:
-                    if worker.resident.get(fragment.fragment_id) != fragment.epoch:
-                        wires.append(resident_fragment_wire(fragment))
-                        worker.resident[fragment.fragment_id] = fragment.epoch
-                        self.ship_log.append((worker.index, fragment.fragment_id, fragment.epoch))
-                        self._count("ships")
-                if not wires:
-                    continue
-                transport.send_payload(worker.conn, ("push", tuple(wires)))
-                reply = transport.recv_payload(worker.conn)
-                if reply[0] != "ok":  # pragma: no cover - defensive
-                    raise RuntimeError(f"warm-up push failed: {reply!r}")
-                shipped += len(wires)
+                for message in self._catch_up(worker, fragments):
+                    transport.send_payload(worker.conn, message)
+                    reply = transport.recv_payload(worker.conn)
+                    if reply[0] != "ok":  # pragma: no cover - defensive
+                        raise RuntimeError(f"warm-up {message[0]} failed: {reply!r}")
+                    shipped += len(message[1])
             return shipped
 
     def retire_fragments(self, fragment_ids: Sequence[str]) -> None:

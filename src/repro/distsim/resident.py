@@ -1,16 +1,19 @@
 """Resident site state: the one protocol behind every remote evaluator.
 
 A *resident* holder (a persistent process-executor worker, a networked
-``SiteServer``) receives each fragment's wire form **once per epoch**
--- the content-address minted by :meth:`Fragment.bump_epoch` -- and
-keeps three things per fragment: the epoch it holds, the parsed
-:class:`Fragment`, and its :class:`~repro.core.bottom_up.GroundLinear`
-linearization (``None`` for fragments with virtual nodes).  After
-that, batches ship only ``(fragment_id, epoch)`` references plus the
-query program; evaluation runs through
+``SiteServer``) is brought to each epoch of a fragment -- the
+content-address minted by :meth:`Fragment.bump_epoch` -- **once**:
+by its wire form (:meth:`ResidentSiteState.store`) or, when it holds
+the epoch a journalled content edit started from, by the edit alone
+(:meth:`ResidentSiteState.patch`).  It keeps three things per
+fragment: the epoch it holds, the parsed :class:`Fragment`, and its
+:class:`~repro.core.bottom_up.GroundLinear` linearization (``None``
+for fragments with virtual nodes).  Batches ship only ``(fragment_id,
+epoch)`` references plus the query program; evaluation runs through
 :func:`~repro.core.bottom_up.site_bottom_up`, so all ground fragments
 co-located on the holder fold in one site-vectorized pass with shared
-compiled programs and per-``(fragment, query)`` base caches.
+compiled programs and per-``(fragment, query)`` base caches -- which a
+patch splices rather than drops.
 
 A job referencing an epoch the holder does not have raises
 :class:`StaleResidentError` -- typed, with the exact missing ids -- so
@@ -18,9 +21,10 @@ dispatchers re-push and retry instead of serving stale answers.  This
 is the in-process mirror of the serving tier's ``unknown-fragment`` /
 ``stale-fragment`` self-heal, and both tiers run through this class.
 
-``receive_counts`` tracks wire receptions per ``(fragment_id, epoch)``
-so the differential tests can assert the ship-exactly-once contract
-from the holder's side, not just the dispatcher's model.
+``receive_counts`` tracks arrivals (pushes and applied patches) per
+``(fragment_id, epoch)`` so the differential tests can assert the
+each-epoch-arrives-once contract from the holder's side, not just the
+dispatcher's model.
 """
 
 from __future__ import annotations
@@ -54,6 +58,18 @@ class StaleResidentError(RuntimeError):
         )
 
 
+def fragment_digest(fragment: Fragment) -> str:
+    """Content digest of a fragment's tree: SHA-1 of its serialized form.
+
+    Lets a test compare a remote holder's copy (``content_digests`` in
+    the worker's ``stats`` reply) with the coordinator's fragment
+    without shipping either.
+    """
+    from repro.xmltree.serializer import serialize  # local: import cycle
+
+    return hashlib.sha1(serialize(fragment.root).encode("utf-8")).hexdigest()
+
+
 def qlist_fingerprint(qlist: QList) -> str:
     """Stable content fingerprint of a QList's wire form (cached on it).
 
@@ -81,7 +97,7 @@ class ResidentSiteState:
         self.fragments: dict[str, tuple] = {}
         #: query fingerprint -> canonical QList object
         self.queries: dict[str, QList] = {}
-        #: (fragment_id, epoch) -> wire receptions (ship-once witness)
+        #: (fragment_id, epoch) -> arrivals by push or patch (once-per-epoch witness)
         self.receive_counts: Counter = Counter()
 
     # ------------------------------------------------------------------
@@ -109,6 +125,47 @@ class ResidentSiteState:
             self.receive_counts[(fragment_id, epoch)] += 1
         return len(wires)
 
+    def patch(self, patches: Sequence[tuple]) -> int:
+        """Bring resident fragments forward by journalled content edits.
+
+        Each patch is ``(fragment_id, base_epoch, new_epoch, edits)``
+        with ``edits`` as :meth:`Fragment.apply_edit` takes them.  It is
+        applied only to a copy held at exactly ``base_epoch`` -- the
+        tree is edited, a ground fragment's linearization (and every
+        per-query base list cached on it) spliced at the touched range,
+        and the copy stamped ``new_epoch``.  Any other patch is dropped
+        untouched: the job that follows references ``new_epoch``, draws
+        :class:`StaleResidentError` and is healed by a full push.
+        Returns the number of patches applied.
+        """
+        applied = 0
+        for fragment_id, base_epoch, new_epoch, edits in patches:
+            entry = self.fragments.get(fragment_id)
+            if entry is None or entry[0] != base_epoch:
+                continue
+            _, fragment, linear = entry
+            reshaped = False
+            for edit in edits:
+                kind, postorder = edit[0], edit[2]
+                node = fragment.apply_edit(edit)
+                if linear is None:
+                    continue
+                if kind == "set":
+                    linear.relabel(postorder, node.label, node.text)
+                elif kind == "ins":
+                    linear.insert_leaf(postorder, node.label, node.text)
+                    reshaped = True
+                else:  # "del": ``node`` is the detached subtree's root
+                    linear.delete_subtree(postorder, sum(1 for _ in node.iter_subtree()))
+                    reshaped = True
+            if reshaped:
+                linear.relevel()
+            fragment.epoch = new_epoch
+            self.fragments[fragment_id] = (new_epoch, fragment, linear)
+            self.receive_counts[(fragment_id, new_epoch)] += 1
+            applied += 1
+        return applied
+
     def retire(self, fragment_ids: Sequence[str]) -> int:
         """Drop resident fragments; returns how many were actually held."""
         dropped = 0
@@ -120,6 +177,10 @@ class ResidentSiteState:
     def resident_epochs(self) -> dict[str, int]:
         """Live ``fragment_id -> epoch`` view (leak checks, debugging)."""
         return {fid: entry[0] for fid, entry in self.fragments.items()}
+
+    def content_digests(self) -> dict[str, str]:
+        """``fragment_id -> fragment_digest`` of every resident tree."""
+        return {fid: fragment_digest(entry[1]) for fid, entry in self.fragments.items()}
 
     def missing_for(self, refs: Sequence[tuple]) -> list[str]:
         """Which ``(fragment_id, epoch)`` references this holder cannot serve.
@@ -201,4 +262,9 @@ class ResidentSiteState:
         return results, seconds
 
 
-__all__ = ["ResidentSiteState", "StaleResidentError", "qlist_fingerprint"]
+__all__ = [
+    "ResidentSiteState",
+    "StaleResidentError",
+    "fragment_digest",
+    "qlist_fingerprint",
+]

@@ -11,6 +11,7 @@ possible").
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Iterator, Optional
 
 from repro.xmltree.node import XMLNode
@@ -28,6 +29,12 @@ class FragmentationError(ValueError):
 #: key on ``(fragment_id, epoch)`` are therefore content-addressed.
 _epochs = itertools.count(1)
 
+#: Longest chain of content edits a fragment remembers.  A holder
+#: further behind than this is re-shipped in full: replaying more edits
+#: costs about what re-parsing the fragment does, and the bound keeps
+#: the journal's memory independent of the stream's length.
+JOURNAL_CAP = 32
+
 
 class Fragment:
     """One fragment: an id plus a subtree whose leaves may be virtual."""
@@ -38,7 +45,10 @@ class Fragment:
         self.fragment_id = fragment_id
         self.root = root
         self.epoch: int = next(_epochs)
-        self._version_cache: Optional[tuple[int, int]] = None  # (size, bytes)
+        #: ``(base_epoch, edit)`` links, oldest first and contiguous: the
+        #: last link leads to :attr:`epoch`, each earlier one to the
+        #: next link's base.
+        self._journal: deque = deque(maxlen=JOURNAL_CAP)
 
     # ------------------------------------------------------------------
     # Structure
@@ -62,6 +72,68 @@ class Fragment:
                 return node
         raise KeyError(f"node {node_id} not in fragment {self.fragment_id}")
 
+    def locate(self, node_id: int) -> tuple[XMLNode, tuple[int, ...], int]:
+        """Find a node by id, with its position: ``(node, path, postorder)``.
+
+        ``node_id`` is process-local; the position is what survives the
+        wire.  ``path`` is the child-index path from the root (a holder
+        walks it down its own copy of the tree) and ``postorder`` the
+        node's index in ``root.iter_postorder()`` (virtual leaves
+        counted), which addresses the same node in a
+        :class:`~repro.core.bottom_up.GroundLinear`.
+        """
+        for preorder, node in enumerate(self.root.iter_subtree()):
+            if node.node_id == node_id:
+                break
+        else:
+            raise KeyError(f"node {node_id} not in fragment {self.fragment_id}")
+        path = []
+        current = node
+        while current is not self.root:
+            path.append(current.parent.children.index(current))
+            current = current.parent
+        # Postorder puts before a node what document order does, minus
+        # its ancestors (they follow it), plus its own descendants.
+        descendants = sum(1 for _ in node.iter_subtree()) - 1
+        postorder = preorder - len(path) + descendants
+        return node, tuple(reversed(path)), postorder
+
+    def apply_edit(self, edit: tuple) -> XMLNode:
+        """Apply one position-addressed content edit to this fragment's tree.
+
+        The one implementation behind both ends of a patch: the typed
+        content ops mutate the coordinator's fragment through it and a
+        resident holder replays the same tuple on its copy.  An edit is
+        ``(kind, path, postorder, ...)`` with ``path``/``postorder`` as
+        :meth:`locate` returns them, taken *before* the edit:
+
+        * ``("set", path, postorder, label, text)`` -- relabel the node
+          (``None`` keeps the label / the text);
+        * ``("ins", path, postorder, label, text)`` -- append a fresh
+          leaf under the node (which lands at ``postorder``, pushing
+          its parent to ``postorder + 1``);
+        * ``("del", path, postorder)`` -- detach the node's subtree.
+
+        Returns the node relabelled, inserted or detached.  Touches
+        neither the epoch nor the journal; see :meth:`bump_epoch`.
+        """
+        kind = edit[0]
+        node = self.root
+        for index in edit[1]:
+            node = node.children[index]
+        if kind == "set":
+            label, text = edit[3], edit[4]
+            if label is not None:
+                node.label = label
+            if text is not None:
+                node.text = text
+            return node
+        if kind == "ins":
+            return node.add_child(XMLNode(edit[3], text=edit[4]))
+        if kind == "del":
+            return node.detach()
+        raise ValueError(f"unknown edit kind {kind!r}")
+
     # ------------------------------------------------------------------
     # Measurements
     # ------------------------------------------------------------------
@@ -73,18 +145,44 @@ class Fragment:
         """Byte cost of shipping this fragment over the network."""
         return estimated_wire_bytes(self.root)
 
-    def bump_epoch(self) -> int:
+    def bump_epoch(self, edit: Optional[tuple] = None) -> int:
         """Mark this fragment's content as changed.
 
         Every mutation path that edits fragment content (typed update
         ops, cluster split/merge, out-of-band ``refresh``) calls this;
         resident-state holders compare epochs to decide whether their
-        cached copy is still the live one.  Also drops the cached
-        size/bytes version since both may have changed.
+        cached copy is still the live one.
+
+        A typed content op passes the position-addressed ``edit`` it
+        just made (see :mod:`repro.stream.updates`), which is journalled
+        as the link from the old epoch to the new one so a holder of the
+        old epoch can be patched instead of re-shipped.  A bump without
+        an edit (split/merge, out-of-band ``refresh``) says "changed,
+        no telling how" and breaks the chain.
         """
+        if edit is None:
+            self._journal.clear()
+        else:
+            self._journal.append((self.epoch, edit))
         self.epoch = next(_epochs)
-        self._version_cache = None
         return self.epoch
+
+    def edits_since(self, epoch: Optional[int]) -> Optional[tuple]:
+        """The edits leading from ``epoch`` to the live epoch, in order.
+
+        ``None`` when ``epoch`` is not on the journalled chain -- the
+        chain was broken since, or the holder is more than
+        :data:`JOURNAL_CAP` edits behind -- and only a full re-ship
+        brings its holder up to date.
+        """
+        if epoch == self.epoch:
+            return ()
+        for index, (base_epoch, _edit) in enumerate(self._journal):
+            if base_epoch == epoch:
+                return tuple(
+                    edit for _base, edit in itertools.islice(self._journal, index, None)
+                )
+        return None
 
     def deep_copy(self) -> "Fragment":
         """Independent copy (fresh node ids, fresh epoch)."""
@@ -215,4 +313,4 @@ class FragmentedTree:
         )
 
 
-__all__ = ["Fragment", "FragmentedTree", "FragmentationError"]
+__all__ = ["Fragment", "FragmentedTree", "FragmentationError", "JOURNAL_CAP"]

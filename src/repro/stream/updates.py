@@ -32,7 +32,12 @@ Node addressing uses ``node_id`` (not child-index paths) deliberately:
 ids are stable under sibling insertion/deletion, so ops inside one
 batch cannot invalidate each other's targets unless one genuinely
 deletes the other's node -- which :func:`apply_updates` reports as the
-error it is.
+error it is.  A ``node_id`` is process-local, though, so at apply time
+each content op (``insNode``/``delNode``/``relabel``) resolves it to a
+*position* in the scan that finds the node anyway, makes the edit in
+position-addressed form (:meth:`Fragment.apply_edit`) and journals it
+with the epoch bump (:meth:`Fragment.bump_epoch`): that edit, not the
+fragment, is what a resident holder of the previous epoch is sent.
 
 Checked by ``tests/test_stream_updates.py`` (per-op semantics, batch
 folding, mid-batch failure contract), ``tests/test_placement.py``
@@ -83,16 +88,26 @@ class UpdateEffect:
     migrated: tuple[Migration, ...] = ()
 
 
-def _node_of(cluster: Cluster, fragment_id: str, node_id: int) -> XMLNode:
+def _locate(
+    cluster: Cluster, fragment_id: str, node_id: int
+) -> tuple[XMLNode, tuple[int, ...], int]:
+    """The op's target node and its position (see :meth:`Fragment.locate`)."""
     if fragment_id not in cluster.fragmented_tree.fragments:
         raise UpdateError(f"unknown fragment {fragment_id!r}")
     try:
-        return cluster.fragment(fragment_id).node_by_id(node_id)
+        return cluster.fragment(fragment_id).locate(node_id)
     except KeyError:
         raise UpdateError(
             f"node {node_id} not found in fragment {fragment_id} "
             "(deleted earlier in the batch?)"
         ) from None
+
+
+def _edit(cluster: Cluster, fragment_id: str, edit: tuple) -> None:
+    """Make a content edit and journal it as the link to the new epoch."""
+    fragment = cluster.fragment(fragment_id)
+    fragment.apply_edit(edit)
+    fragment.bump_epoch(edit)
 
 
 class UpdateOp:
@@ -117,11 +132,10 @@ class InsNode(UpdateOp):
     text: Optional[str] = None
 
     def apply(self, cluster: Cluster) -> UpdateEffect:
-        parent = _node_of(cluster, self.fragment_id, self.parent_node_id)
+        parent, path, postorder = _locate(cluster, self.fragment_id, self.parent_node_id)
         if parent.is_virtual:
             raise UpdateError("cannot insert under a virtual node")
-        parent.add_child(XMLNode(self.label, text=self.text))
-        cluster.fragment(self.fragment_id).bump_epoch()
+        _edit(cluster, self.fragment_id, ("ins", path, postorder, self.label, self.text))
         return UpdateEffect(self, dirty=(self.fragment_id,))
 
     def describe(self) -> str:
@@ -136,16 +150,14 @@ class DelNode(UpdateOp):
     node_id: int
 
     def apply(self, cluster: Cluster) -> UpdateEffect:
-        node = _node_of(cluster, self.fragment_id, self.node_id)
-        fragment = cluster.fragment(self.fragment_id)
-        if node is fragment.root:
+        node, path, postorder = _locate(cluster, self.fragment_id, self.node_id)
+        if node is cluster.fragment(self.fragment_id).root:
             raise UpdateError("cannot delete a fragment's root")
         if any(sub.is_virtual for sub in node.iter_subtree()):
             # Deleting a subtree holding virtual leaves would orphan
             # whole sub-fragments; merge them back first.
             raise UpdateError("subtree contains virtual nodes; mergeFragments first")
-        node.detach()
-        fragment.bump_epoch()
+        _edit(cluster, self.fragment_id, ("del", path, postorder))
         return UpdateEffect(self, dirty=(self.fragment_id,))
 
     def describe(self) -> str:
@@ -162,14 +174,10 @@ class Relabel(UpdateOp):
     text: Optional[str] = None
 
     def apply(self, cluster: Cluster) -> UpdateEffect:
-        node = _node_of(cluster, self.fragment_id, self.node_id)
+        node, path, postorder = _locate(cluster, self.fragment_id, self.node_id)
         if node.is_virtual:
             raise UpdateError("cannot relabel a virtual node")
-        if self.label is not None:
-            node.label = self.label
-        if self.text is not None:
-            node.text = self.text
-        cluster.fragment(self.fragment_id).bump_epoch()
+        _edit(cluster, self.fragment_id, ("set", path, postorder, self.label, self.text))
         return UpdateEffect(self, dirty=(self.fragment_id,))
 
     def describe(self) -> str:
@@ -191,7 +199,7 @@ class SplitFragment(UpdateOp):
     target_site: Optional[str] = None
 
     def apply(self, cluster: Cluster) -> UpdateEffect:
-        node = _node_of(cluster, self.fragment_id, self.node_id)
+        node = _locate(cluster, self.fragment_id, self.node_id)[0]
         origin = cluster.site_of(self.fragment_id)
         new_id = cluster.split_fragment(
             self.fragment_id, node, self.new_fragment_id, self.target_site

@@ -1,0 +1,568 @@
+"""Delta residency: a content edit travels as the edit, not the fragment.
+
+* the fragment journal: typed content ops record position-addressed
+  edits, ``edits_since`` returns the chain to the live epoch and
+  ``None`` once it is broken (structural op, out-of-band refresh, a
+  holder further behind than ``JOURNAL_CAP``);
+* property, in process: a :class:`ResidentSiteState` brought forward by
+  patches holds the same tree, and a spliced ``GroundLinear`` (arrays,
+  levels, every cached ``bases`` list) equal to a fresh linearization
+  of it, under random edit streams interleaved with split / merge /
+  move and out-of-band refreshes;
+* property, real workers: the same streams maintained under the
+  ``process`` and ``serial`` executors agree round by round on the
+  whole ``MaintenanceRound`` ledger, and the workers hold the live
+  document;
+* the fallback ladder: a respawned worker, a desynced model, a holder
+  off the journal and a half-applied batch all end in a full push and
+  the right answer;
+* a non-structural stream under the process executor serializes,
+  parses and linearizes nothing after boot.
+"""
+
+import importlib
+import itertools
+import multiprocessing
+import random
+
+import pytest
+
+from repro.boolexpr.compose import CanonicalAlgebra
+from repro.core.bottom_up import (
+    _ground_program,
+    _linear_bases,
+    bottom_up,
+    compile_entries,
+    linearize_ground,
+)
+from repro.core.vectors import VectorTriplet
+from repro.distsim.executors import ProcessSiteExecutor, resident_fragment_wire
+from repro.distsim.resident import ResidentSiteState, fragment_digest
+from repro.fragments.fragment import JOURNAL_CAP
+from repro.stream import (
+    DelNode,
+    InsNode,
+    MergeFragment,
+    Relabel,
+    SplitFragment,
+    StreamMaintainer,
+    UpdateError,
+)
+from repro.stream.updates import apply_updates
+from repro.workloads.portfolio import build_portfolio_cluster
+from repro.workloads.topologies import star_ft1
+from repro.workloads.updates import update_stream
+from repro.xmltree.serializer import serialize
+from repro.xpath import compile_query
+from test_rebalance_properties import _random_structural_op
+from test_resident_executor import _first_leaf, _oracle
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the fixed seeds below still run
+    given = None
+
+SEEDS = [3, 11, 29]
+
+BOOK = {
+    "bidder": "[//bidder]",
+    "probe": '[//probe = "on"]',
+    "no-note": "[not(//note)]",
+    "item": '[//item[text() = "3"]]',
+    "category": "[//category/name]",
+}
+
+_LABELS = ("bidder", "item", "note", "probe", "name")
+_TEXTS = ("on", "off", "3", None)
+
+
+# ---------------------------------------------------------------------------
+# Random rounds, drawn from structure alone
+# ---------------------------------------------------------------------------
+
+
+def _content_ops(cluster, rng, count, deletes=True):
+    """Random ins / del (whole subtrees) / relabel ops on live nodes.
+
+    Several ops of one batch may hit one fragment, or one node, so the
+    journal grows multi-link chains whose positions depend on each
+    other.  ``gone`` keeps later ops off subtrees an earlier one deletes.
+    """
+    ops, gone = [], set()
+    fragment_ids = sorted(cluster.fragmented_tree.fragments)
+    for _ in range(count):
+        fragment_id = rng.choice(fragment_ids)
+        fragment = cluster.fragment(fragment_id)
+        nodes = [
+            node
+            for node in fragment.root.iter_subtree()
+            if not node.is_virtual and node.node_id not in gone
+        ]
+        node = rng.choice(nodes)
+        kind = rng.random()
+        if deletes and kind < 0.3 and node is not fragment.root:
+            subtree = list(node.iter_subtree())
+            if not any(sub.is_virtual for sub in subtree):
+                gone.update(sub.node_id for sub in subtree)
+                ops.append(DelNode(fragment_id, node.node_id))
+                continue
+        if kind < 0.6:
+            ops.append(
+                Relabel(
+                    fragment_id,
+                    node.node_id,
+                    label=rng.choice((None,) + _LABELS),
+                    text=rng.choice(_TEXTS),
+                )
+            )
+        else:
+            ops.append(
+                InsNode(
+                    fragment_id, node.node_id, rng.choice(_LABELS), rng.choice(_TEXTS)
+                )
+            )
+    return ops
+
+
+def _random_rounds(cluster, seed, rounds):
+    """Yield ``("apply", ops)`` / ``("refresh", fragment_ids)`` rounds.
+
+    Every choice depends on the seed and the cluster's *structure* only
+    (never on node ids), so two generators over equally built clusters
+    stay in lockstep as long as both clusters receive every round.  An
+    out-of-band round mutates this generator's cluster directly and
+    asks for a ``refresh``.
+    """
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        kind = rng.random()
+        if kind < 0.15:
+            fragment_id = rng.choice(sorted(cluster.fragmented_tree.fragments))
+            node = rng.choice(
+                [
+                    node
+                    for node in cluster.fragment(fragment_id).root.iter_subtree()
+                    if not node.is_virtual
+                ]
+            )
+            node.text = rng.choice(_TEXTS)
+            node.add_child(type(node)(rng.choice(_LABELS)))
+            yield ("refresh", [fragment_id])
+        elif kind < 0.4:
+            # Content edits first, the structural op last: it breaks the
+            # chain those edits just extended.  No deletes here -- one
+            # could remove the node a split is about to cut at.
+            ops = _content_ops(cluster, rng, rng.randrange(3), deletes=False)
+            ops.append(_random_structural_op(cluster, rng))
+            yield ("apply", ops)
+        else:
+            yield ("apply", _content_ops(cluster, rng, rng.randrange(1, 5)))
+
+
+def _cluster(seed):
+    return star_ft1(4, 0.6, seed=seed, nodes_per_mb=40)
+
+
+# ---------------------------------------------------------------------------
+# The journal
+# ---------------------------------------------------------------------------
+
+
+class TestJournal:
+    def test_content_ops_chain_to_the_live_epoch(self):
+        cluster = build_portfolio_cluster()
+        fragment = cluster.fragment("F2")
+        original = fragment.deep_copy()
+        epochs = [fragment.epoch]
+        leaf = _first_leaf(cluster, "F2")
+        for op in (
+            Relabel("F2", leaf.node_id, text="377"),
+            InsNode("F2", fragment.root.node_id, "note", "n"),
+            DelNode("F2", leaf.node_id),
+        ):
+            apply_updates(cluster, [op])
+            epochs.append(fragment.epoch)
+        chain = fragment.edits_since(epochs[0])
+        assert [edit[0] for edit in chain] == ["set", "ins", "del"]
+        assert fragment.edits_since(epochs[1]) == chain[1:]
+        assert fragment.edits_since(fragment.epoch) == ()
+        assert fragment.edits_since(None) is None
+        assert fragment.edits_since(-1) is None
+        # The chain, replayed on a copy of the old tree, gives the new one.
+        for edit in chain:
+            original.apply_edit(edit)
+        assert original.root.structurally_equal(fragment.root)
+
+    def test_positions_address_the_node_in_postorder_and_by_path(self):
+        cluster = _cluster(5)
+        for fragment in cluster.fragmented_tree.fragments.values():
+            postorder = list(fragment.root.iter_postorder())
+            for index, node in enumerate(postorder):
+                found, path, position = fragment.locate(node.node_id)
+                assert found is node and position == index
+                walked = fragment.root
+                for child_index in path:
+                    walked = walked.children[child_index]
+                assert walked is node
+        with pytest.raises(KeyError):
+            fragment.locate(-1)
+
+    def test_structural_ops_and_refresh_break_the_chain(self):
+        cluster = build_portfolio_cluster()
+        maintainer = StreamMaintainer(cluster)
+        maintainer.subscribe("q", "[//stock]")
+        fragment = cluster.fragment("F1")
+
+        def edited():
+            before = fragment.epoch
+            leaf = _first_leaf(cluster, "F1")
+            maintainer.apply([Relabel("F1", leaf.node_id, text="x")])
+            assert fragment.edits_since(before) is not None
+            return before
+
+        before = edited()
+        stock = fragment.root.find_first(lambda n: n.label == "stock")
+        new_id = maintainer.apply([SplitFragment("F1", stock.node_id)]).dirty_fragments[-1]
+        assert fragment.edits_since(before) is None
+        before = edited()
+        maintainer.apply([MergeFragment("F1", new_id)])
+        assert fragment.edits_since(before) is None
+        before = edited()
+        maintainer.refresh(["F1"])
+        assert fragment.edits_since(before) is None
+        maintainer.close()
+
+    def test_journal_is_capped(self):
+        cluster = build_portfolio_cluster()
+        fragment = cluster.fragment("F2")
+        leaf = _first_leaf(cluster, "F2")
+        epochs = []
+        for index in range(JOURNAL_CAP + 1):
+            epochs.append(fragment.epoch)
+            apply_updates(cluster, [Relabel("F2", leaf.node_id, text=str(index))])
+        assert fragment.edits_since(epochs[0]) is None
+        assert len(fragment.edits_since(epochs[1])) == JOURNAL_CAP
+
+
+# ---------------------------------------------------------------------------
+# Property, in process: splice == re-linearize
+# ---------------------------------------------------------------------------
+
+
+def _bring_forward(state, model, cluster):
+    """What the dispatcher does per fragment: patch on the chain, else push."""
+    patched = 0
+    for fragment_id in list(model):
+        if fragment_id not in cluster.fragmented_tree.fragments:
+            state.retire([fragment_id])
+            del model[fragment_id]
+    for fragment_id, fragment in cluster.fragmented_tree.fragments.items():
+        held = model.get(fragment_id)
+        if held == fragment.epoch:
+            continue
+        edits = fragment.edits_since(held)
+        if edits is None:
+            state.store([resident_fragment_wire(fragment)])
+        else:
+            assert state.patch([(fragment_id, held, fragment.epoch, edits)]) == 1
+            patched += 1
+        model[fragment_id] = fragment.epoch
+    return patched
+
+
+def _check_splice_equals_relinearize(seed):
+    cluster = _cluster(seed)
+    qlists = [compile_query(text) for text in BOOK.values()]
+    algebra = CanonicalAlgebra()
+    state, model = ResidentSiteState(), {}
+    patched = 0
+    # Rounds are drawn from live state: apply each before the next is drawn.
+    for kind, payload in itertools.chain([("boot", None)], _random_rounds(cluster, seed, 14)):
+        if kind == "apply":
+            apply_updates(cluster, payload)
+        elif kind == "refresh":
+            for fragment_id in payload:
+                cluster.fragment(fragment_id).bump_epoch()
+        patched += _bring_forward(state, model, cluster)
+        assert state.resident_epochs() == {
+            fid: fragment.epoch
+            for fid, fragment in cluster.fragmented_tree.fragments.items()
+        }
+        for fragment_id, live in cluster.fragmented_tree.fragments.items():
+            epoch, resident, linear = state.fragments[fragment_id]
+            assert serialize(resident.root) == serialize(live.root)
+            fresh = linearize_ground(resident)
+            assert (linear is None) == (fresh is None)
+            for qlist in qlists:
+                # Evaluating fills (first round) or reuses (later, the
+                # spliced) per-query base lists.
+                ((compact, nodes, _ops, _segments),), _ = state.run(
+                    "S", [(fragment_id, epoch)], qlist, algebra
+                )
+                expected, stats = bottom_up(live, qlist, algebra)
+                assert VectorTriplet.from_compact(compact) == expected
+                assert nodes == stats.nodes_visited
+            if linear is None:
+                continue
+            assert linear.size == fresh.size
+            assert linear.parents == fresh.parents
+            assert linear.levels == fresh.levels
+            assert linear.labels == fresh.labels
+            assert linear.texts == fresh.texts
+            assert set(linear.bases) == set(qlists)
+            for qlist, bases in linear.bases.items():
+                program = _ground_program(qlist, compile_entries(qlist))
+                assert bases == _linear_bases(fresh, program, qlist)
+    assert patched > 0  # else the property is vacuous
+    assert all(count == 1 for count in state.receive_counts.values())
+
+
+# ---------------------------------------------------------------------------
+# Property, real workers: patch == re-ship
+# ---------------------------------------------------------------------------
+
+_ROUND_LEDGER = (
+    "dirty_fragments",
+    "sites_visited",
+    "traffic_bytes",
+    "nodes_recomputed",
+    "slices_shipped",
+    "segments_resolved",
+    "changed",
+    "structural",
+)
+
+
+def _check_process_equals_serial(seed):
+    clusters = {"serial": _cluster(seed), "process": _cluster(seed)}
+    executor = ProcessSiteExecutor(max_workers=2)
+    maintainers = {
+        "serial": StreamMaintainer(clusters["serial"]),
+        "process": StreamMaintainer(clusters["process"], executor=executor),
+    }
+    with executor:
+        for maintainer in maintainers.values():
+            for name, text in BOOK.items():
+                maintainer.subscribe(name, text)
+        streams = [_random_rounds(clusters[name], seed, 12) for name in maintainers]
+        for index, rounds in enumerate(zip(*streams)):
+            ledgers = {}
+            for name, (kind, payload) in zip(maintainers, rounds):
+                act = getattr(maintainers[name], kind)
+                round_ = act(payload)
+                ledgers[name] = tuple(getattr(round_, field) for field in _ROUND_LEDGER)
+            assert ledgers["serial"] == ledgers["process"], f"round {index}: {rounds[0]}"
+            cluster = clusters["process"]
+            assert maintainers["process"].answers() == {
+                name: _oracle(cluster, text) for name, text in BOOK.items()
+            }
+            # The workers hold the live document at the live epoch.
+            for stats in executor.worker_stats():
+                for fragment_id, digest in stats["digests"].items():
+                    assert digest == fragment_digest(cluster.fragment(fragment_id))
+                    assert stats["resident"][fragment_id] == cluster.fragment(fragment_id).epoch
+        assert executor.stats["patches"] > 0 and executor.stats["stale_retries"] == 0
+        assert len(set(executor.ship_log)) == len(executor.ship_log)
+        for stats in executor.worker_stats():
+            assert all(count == 1 for count in stats["receive_counts"].values())
+        for maintainer in maintainers.values():
+            maintainer.close()
+
+
+class TestPatchEquivalence:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_splice_equals_relinearize(self, seed):
+        _check_splice_equals_relinearize(seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_process_rounds_equal_serial_rounds(self, seed):
+        _check_process_equals_serial(seed)
+
+    if given is not None:
+
+        @settings(max_examples=15, deadline=None)
+        @given(st.integers(min_value=0, max_value=2**32 - 1))
+        def test_splice_equals_relinearize_any_seed(self, seed):
+            _check_splice_equals_relinearize(seed)
+
+        @settings(max_examples=5, deadline=None)
+        @given(st.integers(min_value=0, max_value=2**32 - 1))
+        def test_process_rounds_equal_serial_rounds_any_seed(self, seed):
+            _check_process_equals_serial(seed)
+
+
+# ---------------------------------------------------------------------------
+# The fallback ladder
+# ---------------------------------------------------------------------------
+
+
+class TestFallbackLadder:
+    QUERY = '[//stock[code = "GOOG" and sell = "376"]]'
+
+    def _booted(self, executor, cluster):
+        maintainer = StreamMaintainer(cluster, executor=executor)
+        maintainer.subscribe("q", self.QUERY)
+        return maintainer
+
+    def _edit(self, cluster, text):
+        leaf = cluster.fragment("F2").root.find_first(lambda n: n.label == "sell")
+        return [Relabel("F2", leaf.node_id, text=text)]
+
+    def _received(self, executor):
+        counts = {}
+        for stats in executor.worker_stats():
+            counts.update(stats["receive_counts"])
+        return counts
+
+    def test_worker_killed_between_rounds_gets_a_full_push(self):
+        cluster = build_portfolio_cluster()
+        with ProcessSiteExecutor(max_workers=1) as executor:
+            maintainer = self._booted(executor, cluster)
+            maintainer.apply(self._edit(cluster, "1"))
+            assert executor.stats["patches"] == 1
+            worker = executor._workers[0]
+            worker.process.terminate()
+            worker.process.join(timeout=5)
+            assert not worker.process.is_alive()
+            ships = executor.stats["ships"]
+            maintainer.apply(self._edit(cluster, "376"))
+            # The journal could serve a patch, but nothing is resident
+            # to patch: the fresh worker is pushed to in full.
+            assert executor.stats["respawns"] == 1
+            assert executor.stats["patches"] == 1
+            assert executor.stats["ships"] == ships + 1
+            assert self._received(executor) == {("F2", cluster.fragment("F2").epoch): 1}
+            assert maintainer.answers() == {"q": _oracle(cluster, self.QUERY)}
+            maintainer.close()
+
+    def test_patch_against_an_older_epoch_is_dropped_then_healed(self):
+        cluster = build_portfolio_cluster()
+        with ProcessSiteExecutor(max_workers=1) as executor:
+            maintainer = self._booted(executor, cluster)
+            worker = executor._workers[0]
+            boot_epoch = cluster.fragment("F2").epoch
+            # Desync: the model moves on to an epoch the worker never saw.
+            apply_updates(cluster, self._edit(cluster, "1"))
+            worker.resident["F2"] = cluster.fragment("F2").epoch
+            ships, jobs = executor.stats["ships"], executor.stats["jobs"]
+            maintainer.apply(self._edit(cluster, "376"))
+            assert executor.stats["patches"] == 1  # sent, and dropped
+            assert executor.stats["stale_retries"] == 1
+            assert executor.stats["ships"] == ships + 1
+            assert executor.stats["jobs"] == jobs + 1  # the retry is no new job
+            received = self._received(executor)
+            assert received[("F2", boot_epoch)] == 1
+            assert received[("F2", cluster.fragment("F2").epoch)] == 1
+            assert maintainer.answers() == {"q": True} == {"q": _oracle(cluster, self.QUERY)}
+            maintainer.close()
+
+    def test_holder_off_the_journal_gets_a_full_push(self):
+        cluster = build_portfolio_cluster()
+        with ProcessSiteExecutor(max_workers=1) as executor:
+            maintainer = self._booted(executor, cluster)
+            # More edits than the journal keeps, none of them dispatched.
+            for index in range(JOURNAL_CAP + 1):
+                apply_updates(cluster, self._edit(cluster, str(index)))
+            ships = executor.stats["ships"]
+            maintainer.apply(self._edit(cluster, "376"))
+            assert executor.stats["patches"] == 0
+            assert executor.stats["ships"] == ships + 1
+            assert executor.stats["stale_retries"] == 0
+            assert maintainer.answers() == {"q": True}
+            # One edit short of that, the chain still serves a patch.
+            for index in range(JOURNAL_CAP - 1):
+                apply_updates(cluster, self._edit(cluster, str(index)))
+            maintainer.apply(self._edit(cluster, "376"))
+            assert executor.stats["patches"] == 1
+            assert executor.stats["ships"] == ships + 1
+            assert maintainer.answers() == {"q": True}
+            maintainer.close()
+
+    def test_half_applied_batch_leaves_journal_and_residency_consistent(self):
+        cluster = build_portfolio_cluster()
+        with ProcessSiteExecutor(max_workers=1) as executor:
+            maintainer = self._booted(executor, cluster)
+            before = cluster.fragment("F2").epoch
+            ships = executor.stats["ships"]
+            ops = self._edit(cluster, "1") + [DelNode("F2", -1)] + self._edit(cluster, "2")
+            with pytest.raises(UpdateError) as info:
+                maintainer.apply(ops)
+            assert len(info.value.applied) == 1
+            # Exactly the op that applied is journalled and was patched in.
+            assert [edit[0] for edit in cluster.fragment("F2").edits_since(before)] == ["set"]
+            assert executor.stats["patches"] == 1 and executor.stats["ships"] == ships
+            (stats,) = executor.worker_stats()
+            assert stats["digests"]["F2"] == fragment_digest(cluster.fragment("F2"))
+            assert maintainer.answers() == {"q": False} == {"q": _oracle(cluster, self.QUERY)}
+            maintainer.apply(self._edit(cluster, "376"))
+            assert executor.stats["patches"] == 2 and executor.stats["stale_retries"] == 0
+            assert maintainer.answers() == {"q": True}
+            maintainer.close()
+
+    def test_registry_counts_a_redispatched_job_once(self):
+        from repro.obs import metrics as obs_metrics
+
+        cluster = build_portfolio_cluster()
+        registry = obs_metrics.install()
+        try:
+            with ProcessSiteExecutor(max_workers=1) as executor:
+                maintainer = self._booted(executor, cluster)
+                apply_updates(cluster, self._edit(cluster, "1"))
+                executor._workers[0].resident["F2"] = cluster.fragment("F2").epoch
+                maintainer.apply(self._edit(cluster, "376"))
+                assert executor.stats["stale_retries"] == 1
+                events = registry.snapshot()["executor_events_total"]["values"]
+                maintainer.close()
+        finally:
+            obs_metrics.uninstall()
+        for event in ("jobs", "ships", "patches", "stale_retries"):
+            assert events[f"event={event}"] == executor.stats[event], event
+
+
+# ---------------------------------------------------------------------------
+# Nothing is re-shipped on the content-edit path
+# ---------------------------------------------------------------------------
+
+
+class TestContentEditsShipNoFragment:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers inherit the counting wrappers by fork",
+    )
+    def test_sixteen_rounds_serialize_parse_and_linearize_nothing(self, monkeypatch):
+        # One shared counter per function, bumped in whichever process
+        # makes the call (the workers are forked after the patching).
+        calls = {}
+        for module_name, name in (
+            ("repro.xmltree.serializer", "serialize"),
+            ("repro.xmltree.parser", "parse_xml"),
+            ("repro.core.bottom_up", "linearize_ground"),
+        ):
+            # (`repro.core.bottom_up` the attribute is the function.)
+            module = importlib.import_module(module_name)
+            counter = calls[name] = multiprocessing.Value("i", 0)
+
+            def counting(*args, _inner=getattr(module, name), _counter=counter, **kwargs):
+                with _counter.get_lock():
+                    _counter.value += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        cluster = star_ft1(4, 0.6, seed=9, nodes_per_mb=40)
+        fragments = len(cluster.fragmented_tree.fragments)
+        with ProcessSiteExecutor(max_workers=2) as executor:
+            maintainer = StreamMaintainer(cluster, executor=executor)
+            for name, text in BOOK.items():
+                maintainer.subscribe(name, text)
+            booted = {name: counter.value for name, counter in calls.items()}
+            assert booted == dict.fromkeys(calls, fragments)
+            for ops in update_stream(cluster, rounds=16, ops_per_round=4, seed=9):
+                maintainer.apply(ops)
+            assert {name: counter.value for name, counter in calls.items()} == booted
+            assert executor.stats["ships"] == fragments
+            assert executor.stats["patches"] >= 16
+            assert maintainer.answers() == {
+                name: _oracle(cluster, text) for name, text in BOOK.items()
+            }
+            maintainer.close()

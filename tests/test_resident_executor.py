@@ -5,8 +5,9 @@ Covers the acceptance criteria of the resident-worker redesign:
 * random topologies x engines x update streams (including a mid-run
   rebalance) agree bitwise with the serial executor -- answers and the
   full simulated ledger;
-* each fragment's wire form reaches each worker exactly once per
-  epoch, witnessed from both sides (the dispatcher's ship log and the
+* each epoch of a fragment reaches its worker exactly once -- as a
+  full push or, after a journalled content edit, as a patch --
+  witnessed from both sides (the dispatcher's ship log and the
   workers' receive counters);
 * a worker that missed an invalidation replies typed-stale and the
   dispatcher re-pushes and retries; a dead worker is respawned; both
@@ -39,6 +40,7 @@ from repro.distsim.executors import (
 from repro.distsim.resident import (
     ResidentSiteState,
     StaleResidentError,
+    fragment_digest,
     qlist_fingerprint,
 )
 from repro.distsim.transport import recv_payload, send_payload
@@ -140,9 +142,23 @@ class TestDifferentialAgainstSerial:
                     name: _oracle(cluster, text) for name, text in queries.items()
                 }, f"diverged at round {index}"
             assert len(set(executor.ship_log)) == len(executor.ship_log)
-            # Holder-side witness of the ship-once contract.
+            # The stream's content edits travelled as patches, its
+            # structural ops and the rebalance as full pushes.
+            assert executor.stats["patches"] > 0
+            assert executor.stats["ships"] + executor.stats["patches"] == len(
+                executor.ship_log
+            )
+            # Holder-side witness: every (fragment, epoch) the dispatcher
+            # delivered arrived exactly once, by push or by patch, and
+            # nothing else did.
+            received = []
             for stats in executor.worker_stats():
                 assert all(count == 1 for count in stats["receive_counts"].values())
+                received += [(stats["worker"], *key) for key in stats["receive_counts"]]
+                # ...and what the worker holds is the live document.
+                for fragment_id, digest in stats["digests"].items():
+                    assert digest == fragment_digest(cluster.fragment(fragment_id))
+            assert sorted(received) == sorted(executor.ship_log)
 
 
 # ---------------------------------------------------------------------------
@@ -164,18 +180,32 @@ class TestShipOncePerEpoch:
             assert executor.stats["ships"] == ships_after_first
             assert len(set(executor.ship_log)) == len(executor.ship_log)
 
-    def test_epoch_bump_reships_only_the_dirty_fragment(self):
+    def test_epoch_bump_patches_only_the_dirty_fragment(self):
+        # A content edit travels as the edit: no fragment is re-shipped,
+        # one patch goes out, and it names only the edited fragment.
         cluster = build_portfolio_cluster()
         qlist = compile_query("[//stock]")
         with ProcessSiteExecutor() as executor:
             engine = ParBoXEngine(cluster, executor=executor)
             engine.evaluate(qlist)
             baseline = executor.stats["ships"]
+            delivered = len(executor.ship_log)
             leaf = _first_leaf(cluster, "F2")
             apply_updates(cluster, [Relabel("F2", leaf.node_id, text="377")])
-            engine.evaluate(qlist)
-            assert executor.stats["ships"] == baseline + 1
-            assert executor.ship_log[-1][1] == "F2"
+            result = engine.evaluate(qlist)
+            assert executor.stats["ships"] == baseline
+            assert executor.stats["patches"] == 1
+            assert [entry[1:] for entry in executor.ship_log[delivered:]] == [
+                ("F2", cluster.fragment("F2").epoch)
+            ]
+            # Holder side: each epoch arrived once, the new one by patch.
+            counts = {}
+            for stats in executor.worker_stats():
+                counts.update(stats["receive_counts"])
+            assert counts[("F2", cluster.fragment("F2").epoch)] == 1
+            assert all(count == 1 for count in counts.values())
+            assert len(counts) == len(executor.ship_log)
+        assert result.answer is _oracle(cluster, "[//stock]")
 
     def test_warm_start_prepays_every_ship(self):
         cluster = build_portfolio_cluster()
