@@ -41,9 +41,9 @@ def test_engine_parbox(benchmark, cluster, qlist):
 
 
 def test_engine_parbox_threaded(benchmark, cluster, qlist):
-    engine = ParBoXEngine(cluster)
-    result = benchmark(lambda: engine.evaluate_threaded(qlist))
-    assert result.details["backend"] == "threads"
+    with ParBoXEngine(cluster, executor="threads") as engine:
+        result = benchmark(lambda: engine.evaluate(qlist))
+    assert result.metrics.max_visits_per_site() == 1
 
 
 def test_engine_naive_centralized(benchmark, cluster, qlist):

@@ -13,14 +13,11 @@ the wall clock.  Two supporting measurements ride along:
   auto kernel;
 * **compact wire**: pickled size of the process executor's triplet
   reply in the old ``to_obj`` form vs the compact
-  bitmask-plus-residue-table codec;
-* **dispatch tax**: the 16-site star through the process executor,
-  legacy per-batch fragment shipping vs resident workers (fragments
-  pushed once per epoch, batches ship only programs and triplets).
-  Resident workers are measured twice -- with per-job framed writes
-  and with batched pipe submission (all jobs bound for a worker
-  coalesced into one frame, the default) -- so the baseline tracks
-  the batching win separately.
+  bitmask-plus-residue-table codec.
+
+The process executor's dispatch layer is not measured here: the
+end-to-end benchmark (``benchmarks/e2e``, workloads ``local-chain`` and
+``stream-mixed``) reports it as the ``distsim.executors.*`` layer rows.
 
 Usage::
 
@@ -50,9 +47,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import ParBoXEngine, bottom_up  # noqa: E402
+from repro.core import bottom_up  # noqa: E402
 from repro.core.session import QuerySession  # noqa: E402
-from repro.distsim.executors import ProcessSiteExecutor  # noqa: E402
 from repro.fragments import Fragment  # noqa: E402
 from repro.workloads.queries import QUERY_SIZES, query_of_size  # noqa: E402
 from repro.workloads.topologies import star_ft1  # noqa: E402
@@ -61,15 +57,6 @@ from repro.workloads.xmark import generate_xmark_site  # noqa: E402
 #: Required median speedup per scale (the PR's acceptance criterion at
 #: "default"; quick fragments are smaller, fixed overheads weigh more).
 SPEEDUP_FLOOR = {"default": 3.0, "quick": 2.0}
-#: Required steady-state speedup of the resident process executor over
-#: legacy per-batch dispatch on the 16-site star (both scales).
-DISPATCH_FLOOR = 2.0
-#: Required steady-state speedup of batched pipe submission over
-#: per-job framed writes (same resident workers).  Measured locally at
-#: 1.15-1.25x end to end on the single-core CI box -- the floor sits
-#: below that so wall-clock noise cannot trip it; the committed
-#: baseline's regression gate (20% tolerance) does the tight tracking.
-BATCH_FLOOR = 1.05
 #: Allowed regression against the committed baseline (20%).
 REGRESSION_TOLERANCE = 0.8
 
@@ -158,8 +145,6 @@ def run_hotpath(quick: bool = False, seed: int = 2006) -> dict:
     obj_bytes = len(pickle.dumps(triplet.to_obj()))
     compact_bytes = len(pickle.dumps(triplet.to_compact()))
 
-    dispatch = run_dispatch(quick=quick, seed=seed)
-
     speedups = [row["speedup"] for row in rows]
     return {
         "scale": params["scale"],
@@ -178,91 +163,6 @@ def run_hotpath(quick: bool = False, seed: int = 2006) -> dict:
             "compact_pickle_bytes": compact_bytes,
             "ratio": round(obj_bytes / compact_bytes, 2),
         },
-        "dispatch": dispatch,
-    }
-
-
-def run_dispatch(quick: bool = False, seed: int = 2006) -> dict:
-    """Dispatch tax on the 16-site star: resident vs per-batch workers.
-
-    The legacy process executor re-pickled every fragment's XML into
-    the pool on every batch; resident workers receive each fragment
-    once per epoch and afterwards a batch ships only the compiled
-    query program and triplet replies (protocol-5 out-of-band
-    buffers).  ``cold`` includes worker spawn plus the one-time
-    fragment push; ``steady`` is the per-batch median after that --
-    the number the dispatch-tax claim is about.
-    """
-    params = _scale_params(quick)
-    total_mb = 4.0 if quick else 16.0
-    repeats = max(3, params["repeats"] // 5)
-    cluster = star_ft1(16, total_mb, seed=seed, nodes_per_mb=params["nodes_per_mb"])
-    qlists = [query_of_size(size) for size in QUERY_SIZES]
-
-    def measure(resident: bool, batch_submission: bool = True) -> tuple:
-        with ProcessSiteExecutor(
-            resident=resident, batch_submission=batch_submission
-        ) as executor:
-            engine = ParBoXEngine(cluster, executor=executor)
-
-            def batch() -> tuple:
-                return tuple(engine.evaluate(qlist).answer for qlist in qlists)
-
-            started = time.perf_counter()
-            answers = batch()
-            cold_s = time.perf_counter() - started
-            steady_s = _median_seconds(batch, repeats)
-        return answers, cold_s, steady_s
-
-    legacy_answers, legacy_cold, legacy_steady = measure(resident=False)
-    resident_answers, resident_cold, resident_steady = measure(resident=True)
-
-    # Per-job writes vs batched submission is a closer race than legacy
-    # vs resident, so the two executors are timed *interleaved* (one
-    # batch each, alternating) -- slow machine-wide drift then hits both
-    # sides equally instead of biasing whichever ran second.
-    unbatched_times: list = []
-    batched_times: list = []
-    with ProcessSiteExecutor(
-        resident=True, batch_submission=False
-    ) as unbatched_executor, ProcessSiteExecutor(resident=True) as batched_executor:
-        unbatched_engine = ParBoXEngine(cluster, executor=unbatched_executor)
-        batched_engine = ParBoXEngine(cluster, executor=batched_executor)
-
-        def batch(engine: ParBoXEngine) -> tuple:
-            return tuple(engine.evaluate(qlist).answer for qlist in qlists)
-
-        started = time.perf_counter()
-        unbatched_answers = batch(unbatched_engine)
-        unbatched_cold = time.perf_counter() - started
-        batch(batched_engine)  # warm the batched side too
-        for _ in range(2 * repeats):
-            started = time.perf_counter()
-            batch(unbatched_engine)
-            unbatched_times.append(time.perf_counter() - started)
-            started = time.perf_counter()
-            batch(batched_engine)
-            batched_times.append(time.perf_counter() - started)
-    unbatched_steady = statistics.median(unbatched_times)
-    batched_steady = statistics.median(batched_times)
-
-    assert legacy_answers == resident_answers == unbatched_answers, (
-        "dispatch modes disagree"
-    )
-    return {
-        "sites": 16,
-        "total_mb": total_mb,
-        "batch_queries": len(qlists),
-        "repeats": repeats,
-        "legacy_cold_ms": round(legacy_cold * 1000, 2),
-        "legacy_steady_ms": round(legacy_steady * 1000, 2),
-        "unbatched_cold_ms": round(unbatched_cold * 1000, 2),
-        "unbatched_steady_ms": round(unbatched_steady * 1000, 2),
-        "batched_steady_ms": round(batched_steady * 1000, 2),
-        "resident_cold_ms": round(resident_cold * 1000, 2),
-        "resident_steady_ms": round(resident_steady * 1000, 2),
-        "steady_speedup": round(legacy_steady / resident_steady, 2),
-        "batch_speedup": round(unbatched_steady / batched_steady, 2),
     }
 
 
@@ -289,34 +189,6 @@ def render(result: dict) -> str:
         f"  reply payload (pickled): {wire['to_obj_pickle_bytes']}B to_obj -> "
         f"{wire['compact_pickle_bytes']}B compact ({wire['ratio']}x smaller)"
     )
-    dispatch = result.get("dispatch")
-    if dispatch:
-        lines.append(
-            f"  dispatch tax, {dispatch['sites']}-site star "
-            f"({dispatch['total_mb']}MB, batch of {dispatch['batch_queries']}):"
-        )
-        lines.append(
-            f"    per-batch workers: cold {dispatch['legacy_cold_ms']}ms, "
-            f"steady {dispatch['legacy_steady_ms']}ms"
-        )
-        if "unbatched_steady_ms" in dispatch:
-            lines.append(
-                f"    resident A/B (interleaved): per-job writes "
-                f"{dispatch['unbatched_steady_ms']}ms -> batched "
-                f"{dispatch['batched_steady_ms']}ms"
-            )
-        lines.append(
-            f"    resident workers:  cold {dispatch['resident_cold_ms']}ms, "
-            f"steady {dispatch['resident_steady_ms']}ms"
-        )
-        lines.append(
-            f"    steady-state speedup: {dispatch['steady_speedup']}x"
-        )
-        if "batch_speedup" in dispatch:
-            lines.append(
-                f"    batched-submission speedup over per-job writes: "
-                f"{dispatch['batch_speedup']}x"
-            )
     return "\n".join(lines)
 
 
@@ -356,18 +228,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"median speedup {result['median_speedup']}x below the {floor}x floor"
         )
-    dispatch_speedup = result["dispatch"]["steady_speedup"]
-    if dispatch_speedup < DISPATCH_FLOOR:
-        failures.append(
-            f"resident dispatch speedup {dispatch_speedup}x below the "
-            f"{DISPATCH_FLOOR}x floor"
-        )
-    batch_speedup = result["dispatch"]["batch_speedup"]
-    if batch_speedup < BATCH_FLOOR:
-        failures.append(
-            f"batched-submission speedup {batch_speedup}x below the "
-            f"{BATCH_FLOOR}x floor"
-        )
     reference = baseline.get(result["scale"])
     if reference:
         threshold = reference["median_speedup"] * REGRESSION_TOLERANCE
@@ -380,40 +240,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"speedup regressed >20% vs baseline ({reference['median_speedup']}x)"
             )
-        dispatch_reference = reference.get("dispatch")
-        if dispatch_reference:
-            dispatch_threshold = (
-                dispatch_reference["steady_speedup"] * REGRESSION_TOLERANCE
-            )
-            dispatch_verdict = (
-                "PASS" if dispatch_speedup >= dispatch_threshold else "FAIL"
-            )
-            print(
-                f"  [{dispatch_verdict}] dispatch vs committed baseline: "
-                f"{dispatch_speedup}x >= {dispatch_threshold:.2f}x "
-                f"(= {dispatch_reference['steady_speedup']}x - 20%)"
-            )
-            if dispatch_verdict == "FAIL":
-                failures.append(
-                    "dispatch speedup regressed >20% vs baseline "
-                    f"({dispatch_reference['steady_speedup']}x)"
-                )
-            batch_reference = dispatch_reference.get("batch_speedup")
-            if batch_reference:
-                batch_threshold = batch_reference * REGRESSION_TOLERANCE
-                batch_verdict = (
-                    "PASS" if batch_speedup >= batch_threshold else "FAIL"
-                )
-                print(
-                    f"  [{batch_verdict}] batched submission vs committed baseline: "
-                    f"{batch_speedup}x >= {batch_threshold:.2f}x "
-                    f"(= {batch_reference}x - 20%)"
-                )
-                if batch_verdict == "FAIL":
-                    failures.append(
-                        "batched-submission speedup regressed >20% vs baseline "
-                        f"({batch_reference}x)"
-                    )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -31,13 +31,13 @@ opcode and operand specialized away.  The whole pass is one store-free
 frame traversal (:func:`_frame_bottom_up`): accumulators stay bitmasks
 until the first virtual node folds in, then *upgrade* to formula lists,
 so the algebra runs exactly on the root-to-virtual-node paths and
-ground child subtrees fold in as constant bits.  (The pure-ground
-variant :func:`_ground_fast_path` backs the centralized evaluator,
-where a virtual node is an error rather than an upgrade.)  The *formula
-kernel* -- ``kernel="formula"`` -- is the classic algebra-everywhere
-path.  Both kernels produce bitwise-identical triplets under either
-composition algebra, because every algebra folds constants the same
-way -- checked exhaustively by ``tests/test_hotpath_kernel.py``.
+ground child subtrees fold in as constant bits.  (The centralized
+evaluator runs the same pass; there an upgrade is an error.)  The
+*formula kernel* -- ``kernel="formula"`` -- is the classic
+algebra-everywhere path.  Both kernels produce bitwise-identical
+triplets under either composition algebra, because every algebra folds
+constants the same way -- checked exhaustively by
+``tests/test_hotpath_kernel.py``.
 
 The traversal is iterative (explicit post-order), so arbitrarily deep
 fragments do not hit the Python recursion limit, and keeps only the
@@ -170,7 +170,7 @@ def _compile_ground_kernel(
 
 def _ground_program(
     qlist: QList, entries: list[tuple[int, int, int, Optional[str]]]
-) -> tuple[int, dict, dict, object, dict]:
+) -> tuple[int, dict, dict, object, dict, dict]:
     """The bitset kernel's precompiled form of one QList (cached on it).
 
     ``(eps_mask, label_masks, text_masks, kernel, leaf_memo,
@@ -230,69 +230,6 @@ def _virtual_vectors(
         )
         var_cache[owner] = cached
     return cached
-
-
-def _ground_fast_path(
-    root, program: tuple
-) -> Optional[tuple[int, int, int, int]]:
-    """One store-free pass over a fully-ground subtree.
-
-    Post-order via an explicit frame stack (``[node, next_child, cv,
-    dv]``), folding each finished node's masks straight into its
-    parent's accumulators -- no result dictionary, no per-node vector
-    allocation.  Childless nodes resolve through the leaf memo without
-    even a frame.  Returns ``(V, CV, DV, nodes_visited)`` masks for the
-    root, or ``None`` as soon as a virtual node is seen -- finding one
-    is the *only* way this returns ``None``, which the centralized
-    evaluator (its caller) turns into the "unfragmented tree required"
-    error.  Fragment evaluation uses :func:`_frame_bottom_up`, which
-    upgrades to the formula algebra instead.
-    """
-    eps_mask, label_masks, text_masks, kernel, leaf_memo, _var_cache = program
-    nodes_visited = 0
-    stack = [[root, 0, 0, 0]]
-    while stack:
-        frame = stack[-1]
-        node = frame[0]
-        children = node.children
-        index = frame[1]
-        if index < len(children):
-            frame[1] = index + 1
-            child = children[index]
-            if child.fragment_ref is not None:
-                return None  # virtual node: this subtree is not ground
-            if child.children:
-                stack.append([child, 0, 0, 0])
-            else:
-                nodes_visited += 1
-                base = eps_mask | label_masks.get(child.label, 0)
-                text = child.text
-                if text is not None and text_masks:
-                    base |= text_masks.get(text, 0)
-                v = leaf_memo.get(base)
-                if v is None:
-                    v = kernel(0, 0, base)
-                    leaf_memo[base] = v
-                frame[2] |= v  # CV  |= child V
-                frame[3] |= v  # DV |= child DV (== V for a leaf)
-            continue
-        stack.pop()
-        nodes_visited += 1
-        cv = frame[2]
-        dv = frame[3]
-        base = eps_mask | label_masks.get(node.label, 0)
-        text = node.text
-        if text is not None and text_masks:
-            base |= text_masks.get(text, 0)
-        v = kernel(cv, dv, base)
-        dv |= v  # line 17, word-parallel
-        if stack:
-            parent = stack[-1]
-            parent[2] |= v
-            parent[3] |= dv
-        else:
-            return (v, cv, dv, nodes_visited)
-    raise AssertionError("unreachable: the root frame always returns")
 
 
 def _mask_to_formulas(mask: int, n: int) -> list:
@@ -833,7 +770,7 @@ def _lane_pass(
     ``ceil(level_size / width)`` multi-lane kernel calls, folding each
     node's ``V``/``DV`` into its parent's accumulators on scatter.
     Returns the root's ``(V, CV, DV)`` masks, bit-identical to
-    :func:`_ground_fast_path`.
+    :func:`_frame_bottom_up` on the same fragment.
     """
     _eps, _labels, _texts, kernel, leaf_memo, _var_cache = program
     bases = _linear_bases(linear, program, qlist)
@@ -890,7 +827,6 @@ def site_bottom_up(
     residents,
     qlist: QList,
     algebra: Optional[FormulaAlgebra] = None,
-    kernel: Optional[str] = None,
 ) -> list[tuple[VectorTriplet, int]]:
     """Evaluate all of one site's resident fragments in one vectorized pass.
 
@@ -907,15 +843,7 @@ def site_bottom_up(
     ledger (``qlist_ops`` remains ``nodes_visited * n`` by definition).
     """
     algebra = algebra or DEFAULT_ALGEBRA
-    kernel = kernel or DEFAULT_KERNEL
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
     results: list[tuple[VectorTriplet, int]] = []
-    if kernel != "auto":
-        for fragment, _linear in residents:
-            triplet, stats = bottom_up(fragment, qlist, algebra, kernel)
-            results.append((triplet, stats.nodes_visited))
-        return results
     entries = compile_entries(qlist)
     n = len(entries)
     program = _ground_program(qlist, entries)

@@ -9,14 +9,12 @@ machinery.  It serves three roles:
 * the reference point for the paper's "total computation is comparable
   to the best-known centralized algorithm" claim.
 
-The implementation *is* the bitset ground kernel of
-:mod:`repro.core.bottom_up`: a whole tree is the degenerate case of a
-fragment with no virtual nodes, so the store-free bitmask pass applies
-verbatim -- and keeping the two on one code path preserves the
-"comparable total computation" claim as the kernels get faster
-together.  A virtual node anywhere is the fast path's only bail-out
-condition, which here is an error: a centralized evaluator has no
-variables to give it.
+The implementation *is* the frame pass of :mod:`repro.core.bottom_up`:
+a whole tree is a fragment with no virtual nodes, so the store-free
+bitmask pass applies verbatim -- and one code path keeps the
+"comparable total computation" claim honest as the kernel gets faster.
+A virtual node anywhere is the only way that pass leaves the bitmasks,
+which here is an error: a centralized evaluator has no variables for it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.bottom_up import _ground_fast_path, _ground_program, compile_entries
+from repro.boolexpr.compose import DEFAULT_ALGEBRA
+from repro.core.bottom_up import _frame_bottom_up, _ground_program, compile_entries
 from repro.xmltree.node import XMLNode
 from repro.xmltree.tree import XMLTree
 from repro.xpath.qlist import QList
@@ -63,12 +62,13 @@ def evaluate_node_many(
     n = len(entries)
 
     started = time.perf_counter()
-    result = None
+    root_v = None
     if not root.is_virtual:
-        result = _ground_fast_path(root, _ground_program(qlist, entries))
-    if result is None:  # the fast path bails only on virtual nodes
+        (root_v, _root_cv, _root_dv), nodes_visited = _frame_bottom_up(
+            root, _ground_program(qlist, entries), entries, n, DEFAULT_ALGEBRA
+        )
+    if type(root_v) is not int:  # the pass leaves bitmasks only on virtual nodes
         raise ValueError("centralized evaluation requires an unfragmented tree")
-    root_v, _root_cv, _root_dv, nodes_visited = result
     stats = CentralizedStats(
         nodes_visited=nodes_visited,
         qlist_ops=nodes_visited * n,

@@ -83,10 +83,8 @@ class HybridParBoXEngine(Engine):
 
         The delegates hold this engine's resolved executor as a
         pre-built instance, so closing them never touches the shared
-        pool (the :meth:`Engine.close` ownership rule); what they *do*
-        own -- e.g. the thread pools ParBoX caches for
-        ``evaluate_threaded`` -- is reaped here.  The guard makes
-        repeated ``close()`` calls hit each delegate only once.
+        pool (the :meth:`Engine.close` ownership rule).  The guard
+        makes repeated ``close()`` calls hit each delegate only once.
         """
         if not self._delegates_closed:
             self._delegates_closed = True

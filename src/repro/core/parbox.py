@@ -23,14 +23,9 @@ work overlaps.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.engine import Engine
 from repro.core.eval_st import eval_st_many
 from repro.core.plan import BatchPlan
-from repro.distsim.executors import SiteExecutor, ThreadSiteExecutor
-from repro.distsim.metrics import EvalResult
-from repro.xpath.qlist import QList
 
 
 class ParBoXEngine(Engine):
@@ -63,45 +58,6 @@ class ParBoXEngine(Engine):
             variables=sum(len(t.variables()) for t in triplets.values()),
         )
         return answers, run, elapsed, details
-
-    # ------------------------------------------------------------------
-    # Backward-compatible alias for the pre-executor API
-    # ------------------------------------------------------------------
-    def evaluate_threaded(
-        self, qlist: QList, max_workers: Optional[int] = None
-    ) -> EvalResult:
-        """Run stage 2 on a thread pool (one worker per site).
-
-        Predates the ``executor=`` knob and is kept for compatibility:
-        it is exactly ``ParBoXEngine(cluster, executor="threads")`` with
-        the answer and the visit/traffic accounting identical to
-        :meth:`evaluate`; the real concurrency shows up in
-        ``metrics.wall_seconds``.  The thread executor is cached per
-        ``max_workers`` so repeated calls (e.g. one per pub/sub
-        subscription) reuse one pool instead of spawning threads anew;
-        the alias engine itself is rebuilt per call so the current
-        ``self.trace`` is honored.
-        """
-        executors: Optional[dict[Optional[int], SiteExecutor]] = getattr(
-            self, "_threaded_executors", None
-        )
-        if executors is None:
-            executors = self._threaded_executors = {}
-        executor = executors.get(max_workers)
-        if executor is None:
-            executor = executors[max_workers] = ThreadSiteExecutor(max_workers=max_workers)
-        engine = ParBoXEngine(self.cluster, self.algebra, trace=self.trace, executor=executor)
-        result = engine.evaluate(qlist)
-        result.details["backend"] = "threads"
-        return result
-
-    def close(self) -> None:
-        """Also reap the thread pools cached by :meth:`evaluate_threaded`."""
-        executors: dict = getattr(self, "_threaded_executors", {})
-        for cached in executors.values():
-            cached.close()
-        executors.clear()
-        super().close()
 
 
 __all__ = ["ParBoXEngine"]

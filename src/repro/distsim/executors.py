@@ -32,9 +32,8 @@ module makes the parallelism real while keeping the simulation honest:
   that missed an invalidation (or a patch's base epoch) answers with a
   typed *stale* reply and the dispatcher re-pushes in full and retries
   -- the in-process mirror of the serving tier's ``unknown-fragment``
-  self-heal.  ``resident=False`` keeps the workers but re-ships full
-  payloads per batch (the dispatch-tax baseline the benchmarks measure
-  against).
+  self-heal.  There is no other wire: a job never carries fragment
+  XML.
 
 The unit of dispatch is a :class:`SiteJob`: "this site partially
 evaluates these fragments against this QList with this algebra".  Every
@@ -76,7 +75,6 @@ ALGEBRAS_BY_NAME = {
     CanonicalAlgebra.name: CanonicalAlgebra,
     PaperAlgebra.name: PaperAlgebra,
 }
-_ALGEBRAS_BY_NAME = ALGEBRAS_BY_NAME  # legacy alias
 
 
 def algebra_wire_name(algebra: FormulaAlgebra) -> str:
@@ -164,8 +162,9 @@ def execute_site_job(job: SiteJob) -> SiteOutcome:
     """Run one site job in the current thread and time it.
 
     This is the in-process execution path shared by the serial and
-    thread strategies; the process strategy runs the same loop inside a
-    worker process via :func:`_run_job_payload`.
+    thread strategies; the process strategy evaluates resident
+    fragments inside its workers
+    (:meth:`~repro.distsim.resident.ResidentSiteState.run`).
 
     Busy seconds are measured as *thread CPU time*, not wall time: on
     the thread executor, a wall clock would silently charge each site
@@ -209,13 +208,6 @@ def _segment_ops(
 # ---------------------------------------------------------------------------
 
 
-def fragment_wire(fragment: Fragment) -> tuple[str, str]:
-    """One fragment in wire form: ``(fragment_id, serialized XML)``."""
-    from repro.xmltree.serializer import serialize  # local: import cycle
-
-    return (fragment.fragment_id, serialize(fragment.root))
-
-
 def resident_fragment_wire(fragment: Fragment) -> tuple[str, int, str]:
     """A fragment's resident-push wire form: ``(id, epoch, XML)``.
 
@@ -227,51 +219,6 @@ def resident_fragment_wire(fragment: Fragment) -> tuple[str, int, str]:
     from repro.xmltree.serializer import serialize  # local: import cycle
 
     return (fragment.fragment_id, fragment.epoch, serialize(fragment.root))
-
-
-def fragment_from_wire(wire: tuple[str, str]) -> Fragment:
-    """Inverse of :func:`fragment_wire`."""
-    from repro.xmltree.parser import parse_xml  # local: import cycle
-
-    fragment_id, xml_text = wire
-    return Fragment(fragment_id, parse_xml(xml_text).root)
-
-
-def run_resident_job(
-    fragments: Sequence[Fragment],
-    qlist: QList,
-    algebra: FormulaAlgebra,
-    segments: tuple[tuple[int, int], ...],
-) -> tuple[tuple, float]:
-    """The site-local evaluation loop, results in wire form.
-
-    The shared core of every remote evaluator: the process executor's
-    worker runs it after rebuilding fragments from the payload, the
-    networked site server runs it over its *resident* fragments.
-    Returns ``(per-fragment results, busy seconds)`` where each result
-    is ``(compact triplet, nodes visited, qlist ops, segment ops)``.
-    Triplets use the compact codec, not ``to_obj()``: ground entries
-    collapse into three int bitmasks and residual formulas ship once
-    each through a hash-consed table, cutting the real wire volume
-    without touching the simulated ledger (``wire_bytes`` stays
-    defined over ``to_obj()``).
-    """
-    from repro.core.bottom_up import bottom_up  # local: import cycle
-
-    started = time.thread_time()
-    results = []
-    for fragment in fragments:
-        triplet, stats = bottom_up(fragment, qlist, algebra)
-        results.append(
-            (
-                triplet.to_compact(),
-                stats.nodes_visited,
-                stats.qlist_ops,
-                _segment_ops(stats.nodes_visited, segments),
-            )
-        )
-    seconds = time.thread_time() - started
-    return (tuple(results), seconds)
 
 
 def outcome_from_wire(site_id: str, fragment_results: tuple, seconds: float) -> SiteOutcome:
@@ -288,35 +235,6 @@ def outcome_from_wire(site_id: str, fragment_results: tuple, seconds: float) -> 
         for triplet_wire, nodes, ops, segment_ops in fragment_results
     )
     return SiteOutcome(site_id=site_id, fragments=outcomes, seconds=seconds)
-
-
-def _job_payload(job: SiteJob) -> tuple:
-    """Lower a job to wire formats a worker process can reconstruct."""
-    fragments = tuple(fragment_wire(fragment) for fragment in job.fragments)
-    return (job.site_id, fragments, job.qlist.to_obj(), algebra_wire_name(job.algebra), job.segments)
-
-
-def _run_job_payload(payload: tuple) -> tuple:
-    """Worker-process entry point: rebuild the job, run it, wire the result.
-
-    Payload reconstruction (XML parsing) happens *outside* the timed
-    region: it is transport cost of this execution strategy, not site
-    compute of the algorithm, and charging it would make the simulated
-    ledger depend on the executor.
-    """
-    site_id, fragment_texts, qlist_obj, algebra_name, segments = payload
-    qlist = QList.from_obj(qlist_obj)
-    algebra = ALGEBRAS_BY_NAME[algebra_name]()
-    segments = tuple(tuple(span) for span in segments)
-    fragments = [fragment_from_wire(wire) for wire in fragment_texts]
-    results, seconds = run_resident_job(fragments, qlist, algebra, segments)
-    return (site_id, results, seconds)
-
-
-def _outcome_from_payload(result: tuple) -> SiteOutcome:
-    """Rebuild a :class:`SiteOutcome` from a worker's wire-form reply."""
-    site_id, fragment_results, seconds = result
-    return outcome_from_wire(site_id, fragment_results, seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +359,6 @@ def _resident_worker_main(conn) -> None:
       ``(trace_id, parent_span_id)`` pair; when present the ok reply
       grows a trailing tuple of span wire forms (both sides index
       tolerantly, so either end may predate the field);
-    * ``("rawjob", payload)`` -- the legacy full-payload path
-      (``resident=False`` baseline);
     * ``("stats",)`` -- residency introspection for tests/leak checks;
     * ``("stop",)`` -- exit (never batched with other messages).
     """
@@ -494,8 +410,6 @@ def _resident_worker_main(conn) -> None:
                 return ("ok", state.patch(message[1]))
             if kind == "retire":
                 return ("ok", state.retire(message[1]))
-            if kind == "rawjob":
-                return ("ok",) + tuple(_run_job_payload(message[1]))
             if kind == "stats":
                 return (
                     "ok",
@@ -588,18 +502,13 @@ class ProcessSiteExecutor(SiteExecutor):
     pushes), patches, jobs, submits (framed pipe writes), stale retries
     and respawns.
 
-    Submission is **batched** by default: everything queued for one
-    worker -- catch-up pushes and all of the batch's jobs bound to it
-    -- ships as one framed pipe write (one worker wakeup per batch,
-    not per job), and the worker answers with one reply envelope the
-    same way.  ``batch_submission=False`` restores one frame per
-    message: the dispatch-tax baseline ``bench_hotpath.py`` measures
-    the coalescing against.  Either way at most one *frame* is in
-    flight per worker, so the request-reply deadlock-freedom argument
-    is unchanged.
+    Submission is **batched**: everything queued for one worker --
+    catch-up pushes and all of the batch's jobs bound to it -- ships
+    as one framed pipe write (one worker wakeup per batch, not per
+    job), and the worker answers with one reply envelope the same way.
+    At most one *frame* is in flight per worker, which is the
+    request-reply deadlock-freedom argument.
 
-    ``resident=False`` keeps the persistent pool but ships full
-    fragment+query payloads per job -- the dispatch-tax baseline.
     ``warm`` (a cluster) spawns workers and pre-pushes every site's
     fragments at construction, so the first batch pays neither worker
     spawn nor the full-state ship.  Call :meth:`close` (or use the
@@ -609,18 +518,10 @@ class ProcessSiteExecutor(SiteExecutor):
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        resident: bool = True,
-        warm=None,
-        batch_submission: bool = True,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None, warm=None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers or min(8, os.cpu_count() or 2)
-        self.resident = resident
-        self.batch_submission = batch_submission
         #: Counter: ships / patches / jobs / submits / stale_retries /
         #: respawns / retired.
         self.stats: Counter = Counter()
@@ -693,10 +594,12 @@ class ProcessSiteExecutor(SiteExecutor):
     def run_jobs(self, jobs: Sequence[SiteJob]) -> list[SiteOutcome]:
         if not jobs:
             return []
-        # One ambient-context read per batch (None unless a span
-        # collector is installed *and* a span is open on this thread).
-        self._current_trace = obs_trace.active_context()
         with self._lock:
+            # One ambient-context read per batch (None unless a span
+            # collector is installed *and* a span is open on this
+            # thread).  Under the lock: a caller still waiting for it
+            # must not overwrite the context of the batch in flight.
+            self._current_trace = obs_trace.active_context()
             return self._dispatch(list(jobs))
 
     def _dispatch(self, jobs: list[SiteJob]) -> list[SiteOutcome]:
@@ -760,9 +663,6 @@ class ProcessSiteExecutor(SiteExecutor):
         algebra_name = algebra_wire_name(job.algebra)  # validate before any send
         if not redispatch:
             self._count("jobs")
-        if not self.resident:
-            queue.append((("rawjob", _job_payload(job)), ("job", job_index)))
-            return
         for message in self._catch_up(worker, job.fragments):
             queue.append((message, (message[0],)))
         from repro.distsim.resident import qlist_fingerprint  # local: import cycle
@@ -789,11 +689,10 @@ class ProcessSiteExecutor(SiteExecutor):
     ) -> None:
         """Drain all worker queues concurrently, one in-flight frame each.
 
-        With ``batch_submission`` every kick drains the worker's whole
-        queue through its :class:`~repro.distsim.transport.SubmissionQueue`
-        into one framed write and expects one reply envelope carrying
-        one reply per message, in order; without it, one message per
-        frame (the pre-coalescing protocol, bit for bit).
+        Every kick drains the worker's whole queue through its
+        :class:`~repro.distsim.transport.SubmissionQueue` into one
+        framed write and expects one reply envelope carrying one reply
+        per message, in order.
         """
         from repro.distsim import transport
 
@@ -806,11 +705,8 @@ class ProcessSiteExecutor(SiteExecutor):
                     in_flight.pop(index, None)
                     return
                 worker = self._workers[index]
-                if self.batch_submission:
-                    entries = list(queue)
-                    queue.clear()
-                else:
-                    entries = [queue.popleft()]
+                entries = list(queue)
+                queue.clear()
                 tags = tuple(tag for _, tag in entries)
                 try:
                     for payload, _ in entries:
@@ -931,8 +827,6 @@ class ProcessSiteExecutor(SiteExecutor):
         brought up to date (pushed, or patched when called again after
         content edits); idempotent for unchanged epochs.
         """
-        if not self.resident:
-            return 0
         from repro.distsim import transport
 
         with self._lock:
@@ -953,7 +847,7 @@ class ProcessSiteExecutor(SiteExecutor):
     def retire_fragments(self, fragment_ids: Sequence[str]) -> None:
         """Tell every worker holding these fragments to drop them."""
         targets = tuple(fragment_ids)
-        if not targets or not self.resident:
+        if not targets:
             return
         from repro.distsim import transport
 
@@ -1053,10 +947,7 @@ __all__ = [
     "execute_site_job",
     "ALGEBRAS_BY_NAME",
     "algebra_wire_name",
-    "fragment_wire",
     "resident_fragment_wire",
-    "fragment_from_wire",
-    "run_resident_job",
     "outcome_from_wire",
     "SiteExecutor",
     "SerialSiteExecutor",

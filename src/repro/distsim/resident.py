@@ -115,12 +115,7 @@ class ResidentSiteState:
 
         for fragment_id, epoch, xml_text in wires:
             fragment = Fragment(fragment_id, parse_xml(xml_text).root)
-            if epoch is None:
-                # Legacy epoch-less wire: keep the freshly minted epoch so
-                # the entry stays an int and epoch-less refs still match.
-                epoch = fragment.epoch
-            else:
-                fragment.epoch = epoch
+            fragment.epoch = epoch
             self.fragments[fragment_id] = (epoch, fragment, linearize_ground(fragment))
             self.receive_counts[(fragment_id, epoch)] += 1
         return len(wires)
@@ -185,14 +180,12 @@ class ResidentSiteState:
     def missing_for(self, refs: Sequence[tuple]) -> list[str]:
         """Which ``(fragment_id, epoch)`` references this holder cannot serve.
 
-        ``epoch=None`` means "any resident copy" (the serving tier's
-        legacy pushes carry no epoch); otherwise epochs must match
-        exactly.
+        Epochs must match exactly: a copy is never served on its id alone.
         """
         missing = []
         for fragment_id, epoch in refs:
             entry = self.fragments.get(fragment_id)
-            if entry is None or (epoch is not None and entry[0] != epoch):
+            if entry is None or entry[0] != epoch:
                 missing.append(fragment_id)
         return missing
 
@@ -226,8 +219,7 @@ class ResidentSiteState:
         algebra,
         segments: tuple = (),
     ) -> tuple[tuple, float]:
-        """Evaluate resident fragments; wire-form results like
-        :func:`~repro.distsim.executors.run_resident_job`.
+        """Evaluate resident fragments; results in wire form.
 
         ``refs`` is the ordered ``(fragment_id, epoch)`` list of the
         job; raises :class:`StaleResidentError` before touching any

@@ -194,36 +194,25 @@ def _require_spans(spans: object) -> None:
 class LoadFragments(Message):
     """Coordinator -> site: make these fragments resident.
 
-    Each entry is either an ``(id, xml)`` string pair (legacy, epoch
-    unknown) or an ``(id, epoch, xml)`` triple whose epoch content-
+    Each entry is an ``(id, epoch, xml)`` triple whose epoch content-
     addresses the copy for the stale-fragment check (see
     :class:`~repro.distsim.resident.ResidentSiteState`).
     """
 
     KIND = 10
-    fragments: tuple  # tuple[(fragment_id, xml_text) | (fragment_id, epoch, xml_text), ...]
+    fragments: tuple  # tuple[(fragment_id, epoch, xml_text), ...]
 
     def validate(self) -> None:
         _require(isinstance(self.fragments, tuple), "fragments must be a tuple")
         for item in self.fragments:
-            pair = (
-                isinstance(item, tuple)
-                and len(item) == 2
-                and isinstance(item[0], str)
-                and isinstance(item[1], str)
-            )
-            triple = (
+            _require(
                 isinstance(item, tuple)
                 and len(item) == 3
                 and isinstance(item[0], str)
                 and isinstance(item[1], int)
                 and not isinstance(item[1], bool)
-                and isinstance(item[2], str)
-            )
-            _require(
-                pair or triple,
-                "each fragment must be an (id, xml) string pair "
-                "or an (id, epoch, xml) triple",
+                and isinstance(item[2], str),
+                "each fragment must be an (id, epoch, xml) triple",
             )
 
 
@@ -259,10 +248,9 @@ class ExecuteRequest(Message):
     algebra: str
     segments: tuple
     label: str
-    #: Optional per-fragment epochs (parallel to ``fragment_ids``).
-    #: Empty means "any resident copy" -- pre-epoch coordinators omit it
-    #: entirely and the wire decoder fills in the default.
-    epochs: tuple = ()
+    #: Per-fragment epochs, parallel to ``fragment_ids``: the site
+    #: serves a copy only at exactly the epoch the coordinator names.
+    epochs: tuple
     #: Optional (trace_id, parent_span_id) propagation context.  Empty
     #: means tracing is off; pre-trace coordinators omit the field.
     trace: tuple = ()
@@ -285,8 +273,8 @@ class ExecuteRequest(Message):
                 isinstance(epoch, int) and not isinstance(epoch, bool)
                 for epoch in self.epochs
             )
-            and len(self.epochs) in (0, len(self.fragment_ids)),
-            "epochs must be an int tuple, empty or parallel to fragment_ids",
+            and len(self.epochs) == len(self.fragment_ids),
+            "epochs must be an int tuple parallel to fragment_ids",
         )
         _require_trace(self.trace)
 
@@ -296,7 +284,7 @@ class ExecuteReply(Message):
     """Site -> coordinator: wire-form results of one execute request.
 
     ``results`` is exactly what
-    :func:`repro.distsim.executors.run_resident_job` returns: one
+    :meth:`repro.distsim.resident.ResidentSiteState.run` returns: one
     ``(compact triplet, nodes, ops, segment_ops)`` tuple per fragment.
     """
 
@@ -518,7 +506,8 @@ class _RestrictedUnpickler(pickle.Unpickler):
 
 
 def encode_message(message: Message) -> bytes:
-    """One message as one wire frame."""
+    """One message as one wire frame (validated like a decoded one)."""
+    message.validate()
     payload = pickle.dumps(message.to_fields(), protocol=pickle.HIGHEST_PROTOCOL)
     if len(payload) > MAX_PAYLOAD_BYTES:
         raise FrameError(

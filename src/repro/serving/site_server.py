@@ -6,8 +6,8 @@ receives its fragments once from the coordinator
 (:class:`~repro.serving.protocol.LoadFragments` -- data ships exactly
 once, the paper's "one visit" discipline extended to placement), and
 then answers :class:`~repro.serving.protocol.ExecuteRequest` messages
-by running the very same site-local loop the simulated executors run
-(:func:`repro.distsim.executors.run_resident_job`), replying with
+by running the very same site-local loop the process executor's workers
+run (:meth:`repro.distsim.resident.ResidentSiteState.run`), replying with
 compact triplets and the deterministic operation counts.  Because the
 compute core is shared, a site server's replies are bit-for-bit what
 the simulated ledger predicts -- which is what lets the differential
@@ -241,12 +241,7 @@ class SiteServer:
             logger.warning("site %s: unexpected %s", self.name, type(message).__name__)
 
     def _load_fragments(self, wires: tuple) -> tuple:
-        # Legacy (id, xml) pairs carry no epoch; (id, epoch, xml) triples
-        # content-address the pushed copy for the stale-fragment check.
-        normalized = tuple(
-            wire if len(wire) == 3 else (wire[0], None, wire[1]) for wire in wires
-        )
-        self.state.store(normalized)
+        self.state.store(wires)
         logger.info(
             "site %s: %d fragment(s) resident after load of %d",
             self.name,
@@ -273,8 +268,7 @@ class SiteServer:
             pass
 
     async def _run_request(self, request: ExecuteRequest) -> Message:
-        epochs = request.epochs or (None,) * len(request.fragment_ids)
-        refs = tuple(zip(request.fragment_ids, epochs))
+        refs = tuple(zip(request.fragment_ids, request.epochs))
         missing = self.state.missing_for(refs)
         if missing:
             # Typed, recoverable: the coordinator re-pushes and retries.
@@ -373,19 +367,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument(
         "--log-dir", default=None, help="write JSON-lines event logs into this directory"
     )
-    parser.add_argument(
-        "--log-file",
-        default=None,
-        help="(legacy) the event-log directory is derived from this path's parent",
-    )
     args = parser.parse_args(argv)
-    log_dir = args.log_dir
-    if log_dir is None and args.log_file:
-        log_dir = os.path.dirname(args.log_file) or "."
-    if log_dir:
+    if args.log_dir:
         # Structured JSON lines, one file per site, flushed per line --
         # a crashed process still leaves attributable evidence.
-        event_log = install_event_log(log_dir)
+        event_log = install_event_log(args.log_dir)
         handler = JsonLineHandler(event_log, component=f"site-{args.name}")
         logging.getLogger("repro.serving").addHandler(handler)
         logging.getLogger("repro.serving").setLevel(logging.INFO)

@@ -158,8 +158,16 @@ class TestStats:
         assert stats.qlist_ops == 3 * len(qlist)
         assert stats.wall_seconds >= 0
 
-    def test_virtual_nodes_rejected(self):
-        root = element("a")
-        root.add_child(XMLNode.virtual("F1"))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_virtual_nodes_rejected(self, depth):
+        # depth 0: the root itself is virtual; deeper: a virtual node
+        # under a chain of ground ancestors with ground siblings.
+        root = node = XMLNode.virtual("F1") if depth == 0 else element("a")
+        for level in range(1, depth + 1):
+            node.add_child(element("b", "x"))
+            child = XMLNode.virtual("F1") if level == depth else element("a")
+            node.add_child(child)
+            node.add_child(element("c"))
+            node = child
+        with pytest.raises(ValueError, match="requires an unfragmented tree"):
             evaluate_tree(XMLTree(root), compile_query("[//b]"))

@@ -118,17 +118,17 @@ class TestHybridDelegates:
         hybrid.close()
         assert hybrid.executor._pool is None
 
-    def test_close_reaps_delegate_threaded_caches(self, cluster):
-        # evaluate_threaded pools cached inside the ParBoX delegate are
-        # the delegate-owned resource the old close() leaked.
+    def test_close_reaps_a_delegate_owned_pool(self, cluster):
+        # A delegate that owns its executor (name-resolved, not the
+        # hybrid's shared instance) is the delegate-owned resource the
+        # old close() leaked.
         hybrid = HybridParBoXEngine(cluster, executor="serial")
-        hybrid._parbox.evaluate_threaded(compile_query("[//stock]"))
-        cached = hybrid._parbox._threaded_executors
-        assert cached  # a pool was cached
-        pools = list(cached.values())
+        hybrid._parbox = ParBoXEngine(cluster, executor="threads")
+        hybrid._parbox.evaluate(compile_query("[//stock]"))
+        owned = hybrid._parbox.executor
+        assert owned._pool is not None
         hybrid.close()
-        assert not hybrid._parbox._threaded_executors
-        assert all(pool._pool is None for pool in pools)
+        assert owned._pool is None
 
     def test_batch_goes_through_chosen_delegate(self, cluster):
         hybrid = HybridParBoXEngine(cluster)

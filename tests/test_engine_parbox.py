@@ -92,16 +92,3 @@ class TestAlgebraOption:
         paper = ParBoXEngine(cluster, algebra=PaperAlgebra()).evaluate(qlist)
         assert canonical.answer == paper.answer is True
         assert paper.metrics.bytes_total >= canonical.metrics.bytes_total
-
-
-class TestThreadedBackend:
-    def test_same_answer_and_accounting(self):
-        cluster = star_ft1(4, 2.0, seed=13)
-        qlist = query_of_size(8)
-        engine = ParBoXEngine(cluster)
-        simulated = engine.evaluate(qlist)
-        threaded = engine.evaluate_threaded(qlist)
-        assert threaded.answer == simulated.answer
-        assert dict(threaded.metrics.visits) == dict(simulated.metrics.visits)
-        assert threaded.metrics.bytes_total == simulated.metrics.bytes_total
-        assert threaded.details["backend"] == "threads"

@@ -314,15 +314,6 @@ class TestResolution:
         assert shared._pool is not None
         shared.close()
 
-    def test_engine_close_reaps_threaded_alias_pools(self):
-        cluster = build_portfolio_cluster()
-        engine = ParBoXEngine(cluster)
-        engine.evaluate_threaded(compile_query("[//stock]"))
-        alias = engine._threaded_executors[None]
-        assert alias._pool is not None
-        engine.close()
-        assert alias._pool is None
-
 
 class TestCliExecutorFlag:
     @pytest.fixture
@@ -381,17 +372,18 @@ class TestWallClockLedger:
             assert executor._pool is first_pool  # wider batch, same pool
         assert executor._pool is None  # context exit reaps the pool
 
-    def test_evaluate_threaded_reuses_pool_and_honors_trace(self):
+    def test_threads_engine_reuses_pool_and_honors_trace(self):
         from repro.distsim.trace import Trace
 
         cluster = star_ft1(3, 1.0, seed=32)
-        engine = ParBoXEngine(cluster)
-        first = engine.evaluate_threaded(query_of_size(2))
-        executor = engine._threaded_executors[None]
-        second = engine.evaluate_threaded(query_of_size(2))
-        assert engine._threaded_executors[None] is executor
-        assert first.answer == second.answer
-        # A trace attached after the first call must still be honored.
-        engine.trace = Trace()
-        engine.evaluate_threaded(query_of_size(2))
-        assert len(engine.trace.events("compute")) > 0
+        with ParBoXEngine(cluster, executor="threads") as engine:
+            first = engine.evaluate(query_of_size(2))
+            pool = engine.executor._pool
+            assert pool is not None
+            second = engine.evaluate(query_of_size(2))
+            assert engine.executor._pool is pool  # one pool across calls
+            assert first.answer == second.answer
+            # A trace attached after the first call must still be honored.
+            engine.trace = Trace()
+            engine.evaluate(query_of_size(2))
+            assert len(engine.trace.events("compute")) > 0

@@ -496,6 +496,57 @@ class TestProcessExecutorTrace:
             f"S{i}" for i in range(4)
         }
 
+    def test_queued_callers_keep_their_own_trace_context(self):
+        # Two run_jobs callers blocked on the dispatch lock: the traced
+        # batch must ship its own context and the untraced one none,
+        # whichever of them reached the lock last.
+        import threading
+        import time
+
+        from repro.boolexpr.compose import CanonicalAlgebra
+        from repro.distsim.executors import ProcessSiteExecutor, SiteJob
+        from repro.xpath import compile_query
+
+        cluster = small_cluster()
+        qlist = compile_query("[//c]")
+        jobs = [
+            SiteJob(site.site_id, tuple(site.iter_fragments()), qlist, CanonicalAlgebra())
+            for site in cluster.sites()
+        ]
+        traced_ids = []
+        entered = [threading.Event(), threading.Event()]
+
+        def traced():
+            with obs_trace.span("caller.traced", "test") as timer:
+                traced_ids.append((timer.trace_id, timer.span_id))
+                entered[0].set()
+                executor.run_jobs(jobs)
+
+        def untraced():
+            entered[1].set()
+            executor.run_jobs(jobs)
+
+        store = obs_trace.install_spans()
+        try:
+            with ProcessSiteExecutor(max_workers=1, warm=cluster) as executor:
+                threads = [threading.Thread(target=traced), threading.Thread(target=untraced)]
+                with executor._lock:
+                    for thread, event in zip(threads, entered):
+                        thread.start()
+                        assert event.wait(timeout=10)
+                    time.sleep(0.2)  # both now block on the lock
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            obs_trace.uninstall_spans()
+
+        ((trace_id, span_id),) = traced_ids
+        workers = [span for span in store.spans() if span.name == "worker.execute"]
+        assert len(workers) == len(jobs)  # the untraced batch recorded none
+        assert {(w.trace_id, w.parent_id) for w in workers} == {(trace_id, span_id)}
+        assert sorted(w.attrs["site"] for w in workers) == sorted(j.site_id for j in jobs)
+
     def test_no_collector_no_spans_no_trace_in_pipe(self):
         from repro.core import QuerySession
 

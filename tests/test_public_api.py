@@ -85,6 +85,23 @@ class TestPublicClassesDocumentMethods:
         assert not undocumented, f"{cls_path}: undocumented methods {undocumented}"
 
 
+class TestRemovedKnobsStayRemoved:
+    """The evaluation tier has one dispatch wire and one site pass; the
+    A/B switches that once selected a second one must not creep back."""
+
+    def test_process_executor_constructor(self):
+        from repro.distsim.executors import ProcessSiteExecutor
+
+        signature = inspect.signature(ProcessSiteExecutor.__init__)
+        assert list(signature.parameters) == ["self", "max_workers", "warm"]
+
+    def test_site_bottom_up_parameters(self):
+        from repro.core.bottom_up import site_bottom_up
+
+        signature = inspect.signature(site_bottom_up)
+        assert list(signature.parameters) == ["residents", "qlist", "algebra"]
+
+
 class TestExamplesAreRunnableModules:
     @pytest.mark.parametrize(
         "script",

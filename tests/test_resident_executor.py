@@ -35,6 +35,8 @@ from repro.core.vectors import VectorTriplet, compact_with_buffers
 from repro.distsim.executors import (
     ProcessSiteExecutor,
     SerialSiteExecutor,
+    SiteJob,
+    _resident_worker_main,
     resident_fragment_wire,
 )
 from repro.distsim.resident import (
@@ -218,15 +220,31 @@ class TestShipOncePerEpoch:
             assert executor.stats["ships"] == prepaid  # nothing left to ship
         assert result.answer is _oracle(cluster, "[//stock]")
 
-    def test_non_resident_mode_is_the_old_per_batch_wire(self):
-        cluster = build_portfolio_cluster()
-        qlist = compile_query("[//stock]")
-        with ProcessSiteExecutor(resident=False) as executor:
-            engine = ParBoXEngine(cluster, executor=executor)
-            first = engine.evaluate(qlist)
-            second = engine.evaluate(qlist)
-            assert executor.stats["ships"] == 0  # fragments ride the jobs
-        assert first.answer == second.answer == _oracle(cluster, "[//stock]")
+    def test_worker_refuses_the_removed_full_payload_message(self):
+        # Hand-driven worker: the pre-residency ("rawjob", payload)
+        # message is now just an unknown kind -- answered typed, and the
+        # worker keeps serving.
+        parent, child = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_resident_worker_main, args=(child,), daemon=True
+        )
+        process.start()
+        child.close()
+        try:
+            send_payload(parent, ("rawjob", ("S0", (), (), "canonical", ())))
+            assert recv_payload(parent) == (
+                "error",
+                "ValueError",
+                "unknown message 'rawjob'",
+            )
+            send_payload(parent, ("stats",))
+            reply = recv_payload(parent)
+            assert reply[0] == "ok" and reply[1]["resident"] == {}
+        finally:
+            send_payload(parent, ("stop",))
+            process.join(timeout=10)
+            parent.close()
+        assert not process.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +363,7 @@ class TestResidentSiteState:
             )
         assert info.value.missing == ("F2",)
         assert "S2" in str(info.value)
-        # The stale copy still answers epoch-less and exact-old refs.
-        assert state.missing_for([("F2", None)]) == []
+        # The stale copy still answers exact-old refs, and only those.
         assert state.missing_for([("F2", stale_epoch)]) == []
 
     def test_receive_counts_witness_each_push(self, cluster):
@@ -366,7 +383,7 @@ class TestResidentSiteState:
         assert state.resident_epochs() == {"F1": cluster.fragment("F1").epoch}
         assert state.retire(["F1", "F9"]) == 1
         assert state.resident_epochs() == {}
-        assert state.missing_for([("F1", None)]) == ["F1"]
+        assert state.missing_for([("F1", cluster.fragment("F1").epoch)]) == ["F1"]
 
     def test_query_cache_is_fingerprint_keyed(self):
         state = ResidentSiteState()
@@ -490,47 +507,53 @@ class TestBatchedSubmission:
         assert sent == [(transport.BATCH, (("a",), ("b",))), ("c",)]
         assert queue.writes == 2 and queue.submitted == 3
 
-    def test_batched_matches_unbatched_and_serial_with_fewer_writes(self):
+    def test_one_framed_write_per_worker_with_work(self):
         cluster = star_ft1(8, 0.4, seed=13, nodes_per_mb=24)
         qlists = [compile_query(text) for text in QUERIES]
         expected = [_oracle(cluster, text) for text in QUERIES]
-        ledgers = {}
-        stats = {}
-        executors = (
-            ("serial", SerialSiteExecutor()),
-            ("batched", ProcessSiteExecutor(max_workers=2)),
-            (
-                "unbatched",
-                ProcessSiteExecutor(max_workers=2, batch_submission=False),
-            ),
-        )
-        for name, executor in executors:
-            with executor:
-                engine = ParBoXEngine(cluster, executor=executor)
-                rows = []
-                for qlist, want in zip(qlists, expected):
-                    result = engine.evaluate(qlist)
-                    assert result.answer == want
-                    metrics = result.metrics
-                    rows.append(
-                        (
-                            result.answer,
-                            dict(metrics.visits),
-                            metrics.messages,
-                            metrics.bytes_total,
-                            dict(metrics.bytes_by_kind),
-                            metrics.nodes_processed,
-                            metrics.qlist_ops,
-                        )
+
+        def ledger(executor, after_each=lambda: None):
+            engine = ParBoXEngine(cluster, executor=executor)
+            rows = []
+            for qlist, want in zip(qlists, expected):
+                result = engine.evaluate(qlist)
+                assert result.answer == want
+                metrics = result.metrics
+                rows.append(
+                    (
+                        result.answer,
+                        dict(metrics.visits),
+                        metrics.messages,
+                        metrics.bytes_total,
+                        dict(metrics.bytes_by_kind),
+                        metrics.nodes_processed,
+                        metrics.qlist_ops,
                     )
-                ledgers[name] = rows
-                if name != "serial":
-                    stats[name] = dict(executor.stats)
-        assert ledgers["serial"] == ledgers["batched"] == ledgers["unbatched"]
-        # Identical work reached the workers either way...
-        assert stats["batched"]["jobs"] == stats["unbatched"]["jobs"]
-        # ...through strictly fewer framed pipe writes when batching.
-        assert stats["batched"]["submits"] < stats["unbatched"]["submits"]
+                )
+                after_each()
+            return rows
+
+        with SerialSiteExecutor() as serial:
+            serial_rows = ledger(serial)
+        with ProcessSiteExecutor(max_workers=2) as executor:
+            submits = []
+            process_rows = ledger(
+                executor, lambda: submits.append(executor.stats["submits"])
+            )
+            # ParBoX dispatches every site in one run_jobs call; the
+            # sites spread over both workers, so each call -- the first,
+            # which also carries the pushes, included -- costs exactly
+            # one framed write per worker.
+            assert set(executor._site_affinity.values()) == {0, 1}
+            assert submits == [2 * (call + 1) for call in range(len(qlists))]
+            # A call whose jobs all bind to one worker writes one frame.
+            site = cluster.site_of("F1")
+            fragments = tuple(cluster.site(site).iter_fragments())
+            executor.run_jobs(
+                [SiteJob(site, fragments, qlists[0], CanonicalAlgebra())] * 3
+            )
+            assert executor.stats["submits"] == submits[-1] + 1
+        assert serial_rows == process_rows
 
     def test_worker_death_mid_run_heals_under_batching(self):
         cluster = star_ft1(6, 0.3, seed=19, nodes_per_mb=24)

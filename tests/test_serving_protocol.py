@@ -51,7 +51,7 @@ from repro.serving.protocol import (
 # ---------------------------------------------------------------------------
 
 SAMPLE_MESSAGES = [
-    LoadFragments(fragments=(("F0", "<a><b/></a>"), ("F1", "<c>x</c>"))),
+    LoadFragments(fragments=(("F0", 3, "<a><b/></a>"), ("F1", 0, "<c>x</c>"))),
     LoadFragments(fragments=()),  # zero fragments is legal
     Loaded(fragment_ids=("F0", "F1")),
     ExecuteRequest(
@@ -62,6 +62,7 @@ SAMPLE_MESSAGES = [
         algebra="canonical",
         segments=((0, 2),),
         label="bottomUp",
+        epochs=(3,),
     ),
     ExecuteRequest(
         request_id=0,
@@ -71,6 +72,7 @@ SAMPLE_MESSAGES = [
         algebra="",
         segments=(),
         label="",
+        epochs=(),
     ),  # all-empty fields are well-formed
     ExecuteReply(request_id=7, results=((("F0", 2, 3, 0, 0, (), ()), 5, 10, (10,)),), seconds=0.25),
     ExecuteReply(request_id=1, results=(), seconds=0.0),
@@ -152,7 +154,7 @@ def test_zero_length_payload_is_rejected_typed():
 
 
 def test_max_size_frame_round_trips():
-    big = LoadFragments(fragments=(("F0", "x" * 1_000_000),))
+    big = LoadFragments(fragments=(("F0", 1, "x" * 1_000_000),))
     frame = encode_message(big)
     splitter = FrameSplitter()
     # Feed in two uneven halves to cross the header/payload boundary.
@@ -170,7 +172,7 @@ def test_oversized_declared_length_is_frame_error():
 
 def test_oversized_encode_is_frame_error():
     with pytest.raises(FrameError):
-        encode_message(LoadFragments(fragments=(("F0", "x" * (MAX_PAYLOAD_BYTES + 1)),)))
+        encode_message(LoadFragments(fragments=(("F0", 1, "x" * (MAX_PAYLOAD_BYTES + 1)),)))
 
 
 def test_bad_magic_is_frame_error_and_poisons():
@@ -216,7 +218,38 @@ def test_payload_may_not_reference_globals():
 
 def test_validate_rejects_malformed_loadfragments():
     with pytest.raises(PayloadError):
-        LoadFragments.from_fields(((("F0", b"bytes-not-str"),),))
+        LoadFragments.from_fields(((("F0", 1, b"bytes-not-str"),),))
+
+
+def _raises_on_encode_and_decode(message):
+    """A malformed message is refused by the sender and by the receiver."""
+    with pytest.raises(ProtocolError):
+        encode_message(message)
+    payload = pickle.dumps(message.to_fields(), protocol=pickle.HIGHEST_PROTOCOL)
+    with pytest.raises(ProtocolError):
+        decode_payload(type(message).KIND, payload)
+
+
+def test_loadfragments_refuses_the_epochless_pair():
+    _raises_on_encode_and_decode(LoadFragments(fragments=(("F0", "<a/>"),)))
+    _raises_on_encode_and_decode(LoadFragments(fragments=(("F0", None, "<a/>"),)))
+
+
+def test_executerequest_epochs_must_parallel_fragment_ids():
+    fields = dict(
+        request_id=7,
+        site_id="S1",
+        fragment_ids=("F0", "F1"),
+        qlist_obj=(("label", "a", ()),),
+        algebra="canonical",
+        segments=(),
+        label="bottomUp",
+    )
+    for epochs in ((), (3,), (3, None), (3, 4, 5)):
+        _raises_on_encode_and_decode(ExecuteRequest(epochs=epochs, **fields))
+    # Omitting the field on the wire is no longer a way around the check.
+    with pytest.raises(ProtocolError):
+        decode_payload(ExecuteRequest.KIND, pickle.dumps(tuple(fields.values())))
 
 
 def test_queryrequest_rejects_empty_batch_and_bad_tags():
