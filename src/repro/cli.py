@@ -70,7 +70,8 @@ The subcommands::
 
     repro top HOST:PORT [--interval S] [--iterations N]
         Poll a running gateway's metrics registry and print live
-        throughput, shed/retry counts, in-flight depth and latency
+        throughput, shed/retry counts, in-flight depth, the share of
+        fragment results the sites served from their memo, and latency
         percentiles -- a tiny ``top(1)`` for the serving tier.
 
     repro loadtest [--quick] [--out DIR] [--baseline [PATH]]
@@ -517,6 +518,9 @@ def cmd_top(args: argparse.Namespace) -> int:
             )
             inflight = snapshot.get("gateway_inflight", {}).get("values", {})
             events = snapshot.get("coordinator_events_total", {}).get("values", {})
+            results = snapshot.get("resident_results_total", {}).get("values", {})
+            hits = results.get("result=hit", 0)
+            served = hits + results.get("result=miss", 0)
 
             def fmt(value: Optional[float]) -> str:
                 return f"{value * 1000:.1f}ms" if value is not None else "-"
@@ -527,6 +531,7 @@ def cmd_top(args: argparse.Namespace) -> int:
                 f"retries={events.get('event=retries', 0):.0f}  "
                 f"repushes={events.get('event=repushes', 0):.0f}  "
                 f"inflight={next(iter(inflight.values()), 0):.0f}  "
+                f"memo={f'{hits / served:.0%}' if served else '-'}  "
                 f"p50={fmt(pct[0.5])} p95={fmt(pct[0.95])} p99={fmt(pct[0.99])}"
             )
             previous = snapshot

@@ -55,7 +55,7 @@ class ParBoXEngine(Engine):
         elapsed = run.join(site_finish) + combine_seconds
         details = dict(
             triplets=len(triplets),
-            variables=sum(len(t.variables()) for t in triplets.values()),
+            variables=sum(t.variable_count() for t in triplets.values()),
         )
         return answers, run, elapsed, details
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import pickle
-from typing import Iterable, Mapping
+import threading
+from collections import OrderedDict
+from typing import Iterable, Mapping, Union
 
 from repro.boolexpr.formula import (
     FALSE,
@@ -29,12 +31,27 @@ from repro.boolexpr.formula import (
     const,
     formula_from_obj,
 )
+from repro.distsim.transport import restricted_loads
+
+#: Decoded triplets kept by :meth:`VectorTriplet.from_compact`, keyed
+#: by their encoded blob (least recently decoded goes first).  Sized to
+#: hold every distinct result of a standing book of a few dozen batches
+#: over a few dozen fragments; a result that fell out is decoded again.
+INTERN_CAP = 1024
+
+_interned: "OrderedDict[bytes, VectorTriplet]" = OrderedDict()
+_intern_lock = threading.Lock()
 
 
 class VectorTriplet:
-    """The partial answer of one fragment (immutable value object)."""
+    """The partial answer of one fragment (immutable value object).
 
-    __slots__ = ("fragment_id", "v", "cv", "dv")
+    Immutable, so :meth:`wire_bytes` and :meth:`variable_count` are
+    computed once per object -- and :meth:`from_compact` hands every
+    receiver of one encoded blob the same object.
+    """
+
+    __slots__ = ("fragment_id", "v", "cv", "dv", "_wire_bytes", "_variable_count")
 
     def __init__(
         self,
@@ -49,6 +66,8 @@ class VectorTriplet:
         self.dv = tuple(dv)
         if not (len(self.v) == len(self.cv) == len(self.dv)):
             raise ValueError("V, CV, DV must have equal length")
+        self._wire_bytes = None
+        self._variable_count = None
 
     def __len__(self) -> int:
         return len(self.v)
@@ -72,13 +91,25 @@ class VectorTriplet:
                     out.update(vars_)
         return frozenset(out)
 
+    def variable_count(self) -> int:
+        """``len(self.variables())``, computed once.
+
+        The number is what every batch asks for (ParBoX's solve-size
+        report, groundness checks); keeping the set itself on each
+        shared triplet would cost kilobytes where this costs an int.
+        """
+        cached = self._variable_count
+        if cached is None:
+            cached = self._variable_count = len(self.variables())
+        return cached
+
     def referenced_fragments(self) -> frozenset[str]:
         """Ids of the sub-fragments whose variables appear."""
         return frozenset(var.owner for var in self.variables())
 
     def is_ground(self) -> bool:
         """True when no variables remain (leaf fragments, resolved triplets)."""
-        return not self.variables()
+        return self.variable_count() == 0
 
     # ------------------------------------------------------------------
     # Resolution
@@ -176,9 +207,15 @@ class VectorTriplet:
 
         This is the **simulated** cost ledger's unit and is defined over
         :meth:`to_obj`, never over the compact codec below -- the
-        benchmark shape checks pin exact byte counts to it.
+        benchmark shape checks pin exact byte counts to it.  Computed
+        once per triplet.
         """
-        return len(json.dumps(self.to_obj(), separators=(",", ":")).encode())
+        cached = self._wire_bytes
+        if cached is None:
+            cached = self._wire_bytes = len(
+                json.dumps(self.to_obj(), separators=(",", ":")).encode()
+            )
+        return cached
 
     # ------------------------------------------------------------------
     # Compact wire codec (the transport actually used across processes)
@@ -192,10 +229,10 @@ class VectorTriplet:
         formulas are emitted once each through a shared table (children
         before parents, duplicates collapsed -- the wire-side mirror of
         the in-memory interning pool), and each non-constant entry is a
-        ``(vector, entry, table-index)`` triple.  Used by the process
-        executor's replies and thereby the ``triplet-delta`` refresh
-        path; orders of magnitude cheaper to pickle than :meth:`to_obj`
-        for the (dominant) ground case.  The *simulated* ledger stays on
+        ``(vector, entry, table-index)`` triple.  Pickled
+        (:meth:`to_blob`), this is what every resident holder replies
+        with; orders of magnitude cheaper than :meth:`to_obj` for the
+        (dominant) ground case.  The *simulated* ledger stays on
         :meth:`wire_bytes` unchanged.
         """
         masks = []
@@ -242,41 +279,79 @@ class VectorTriplet:
             tuple(table),
         )
 
+    def to_blob(self) -> bytes:
+        """:meth:`to_compact`, pickled: the one opaque value a reply carries.
+
+        A site encodes a result once and may resend the same bytes for
+        as long as the fragment and the query stand; a receiver decodes
+        them with :meth:`from_compact`, which refuses any blob that
+        references a global.
+        """
+        return pickle.dumps(self.to_compact(), protocol=5)
+
     @classmethod
-    def from_compact(cls, wire: tuple) -> "VectorTriplet":
-        """Inverse of :meth:`to_compact`.
+    def from_compact(cls, wire: Union[tuple, bytes]) -> "VectorTriplet":
+        """Inverse of :meth:`to_compact` and of :meth:`to_blob`.
 
         Rebuilds through the *raw* (interning) constructors, never the
         canonicalizing smart constructors, so the decoded formulas are
         structurally identical to what the sender held -- including
         non-canonical shapes produced by the paper-literal algebra.
+
+        A blob (``bytes``, or the buffer a protocol-5 transport hands
+        back) is decoded once: the triplet is kept in a table of at most
+        :data:`INTERN_CAP` entries keyed by the blob, and every later
+        decode of equal bytes returns that same immutable object with
+        its cached :meth:`wire_bytes` and :meth:`variable_count`.  A blob
+        that does not unpickle without imports, or not to a compact
+        triplet, raises :class:`ValueError`.
         """
+        if isinstance(wire, tuple):
+            return cls._from_compact_tuple(wire)
+        blob = wire if type(wire) is bytes else bytes(wire)
+        with _intern_lock:
+            triplet = _interned.get(blob)
+            if triplet is not None:
+                _interned.move_to_end(blob)
+                return triplet
+        try:
+            compact = restricted_loads(blob)
+        except Exception as error:  # pickle raises a wide, undocumented set
+            raise ValueError(f"undecodable triplet blob: {error}") from None
+        triplet = cls._from_compact_tuple(compact)
+        with _intern_lock:
+            _interned[blob] = triplet
+            while len(_interned) > INTERN_CAP:
+                _interned.popitem(last=False)
+        return triplet
+
+    @classmethod
+    def _from_compact_tuple(cls, wire: tuple) -> "VectorTriplet":
+        if not isinstance(wire, tuple) or len(wire) != 7:
+            raise ValueError("a compact triplet is a 7-tuple")
         fragment_id, n, v_mask, cv_mask, dv_mask, residues, table = wire
-        if type(v_mask) is not int:  # out-of-band mask bytes (little-endian)
-            v_mask = int.from_bytes(v_mask, "little")
-        if type(cv_mask) is not int:
-            cv_mask = int.from_bytes(cv_mask, "little")
-        if type(dv_mask) is not int:
-            dv_mask = int.from_bytes(dv_mask, "little")
-        formulas: list[Formula] = []
-        for node in table:
-            tag = node[0]
-            if tag == "v":
-                formulas.append(Var(node[1], node[2], node[3]))
-            elif tag == "n":
-                formulas.append(Not(formulas[node[1]]))
-            elif tag == "a":
-                formulas.append(And(tuple(formulas[i] for i in node[1])))
-            elif tag == "o":
-                formulas.append(Or(tuple(formulas[i] for i in node[1])))
-            else:
-                raise ValueError(f"unknown compact formula tag {tag!r}")
-        vectors = [
-            [TRUE if mask >> i & 1 else FALSE for i in range(n)]
-            for mask in (v_mask, cv_mask, dv_mask)
-        ]
-        for vector_index, entry_index, table_index in residues:
-            vectors[vector_index][entry_index] = formulas[table_index]
+        try:
+            formulas: list[Formula] = []
+            for node in table:
+                tag = node[0]
+                if tag == "v":
+                    formulas.append(Var(node[1], node[2], node[3]))
+                elif tag == "n":
+                    formulas.append(Not(formulas[node[1]]))
+                elif tag == "a":
+                    formulas.append(And(tuple(formulas[i] for i in node[1])))
+                elif tag == "o":
+                    formulas.append(Or(tuple(formulas[i] for i in node[1])))
+                else:
+                    raise ValueError(f"unknown compact formula tag {tag!r}")
+            vectors = [
+                [TRUE if mask >> i & 1 else FALSE for i in range(n)]
+                for mask in (v_mask, cv_mask, dv_mask)
+            ]
+            for vector_index, entry_index, table_index in residues:
+                vectors[vector_index][entry_index] = formulas[table_index]
+        except (TypeError, IndexError) as error:
+            raise ValueError(f"malformed compact triplet: {error}") from None
         return cls(fragment_id, *vectors)
 
     def formula_size(self) -> int:
@@ -300,7 +375,7 @@ class VectorTriplet:
         return hash((self.fragment_id, self.v, self.cv, self.dv))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        ground = "ground" if self.is_ground() else f"vars={len(self.variables())}"
+        ground = "ground" if self.is_ground() else f"vars={self.variable_count()}"
         return f"<VectorTriplet {self.fragment_id} n={len(self)} {ground}>"
 
 
@@ -319,40 +394,39 @@ def ground_triplet_from_bools(
     )
 
 
-#: Bitmasks at or above this many bytes leave the pickle stream as
-#: out-of-band buffers.  Below it, a raw int pickles more compactly
-#: than a ``PickleBuffer`` frame plus transport bookkeeping.
-OOB_MASK_BYTES = 1 << 10
+#: Blobs at or above this many bytes leave the pickle stream as
+#: out-of-band buffers.  Below it -- one pipe buffer -- copying the
+#: bytes through the stream costs less than a frame of their own.
+OOB_BLOB_BYTES = 1 << 16
 
 
-def compact_with_buffers(wire: tuple, threshold: int = OOB_MASK_BYTES) -> tuple:
-    """Lift a compact triplet's large bitmasks out of the pickle stream.
+def compact_with_buffers(blob: bytes, threshold: int = OOB_BLOB_BYTES):
+    """Lift a large triplet blob out of the pickle stream.
 
-    The TRUE/FALSE prefix masks of big ground fragments dominate a
-    reply's payload; wrapping their little-endian bytes in
-    :class:`pickle.PickleBuffer` lets a protocol-5 pickler ship them
-    out-of-band (see :mod:`repro.distsim.transport`), so the bulk bytes
-    are never copied through the pickle stream.
-    :meth:`VectorTriplet.from_compact` accepts either form, so the
+    Wrapping the bytes in :class:`pickle.PickleBuffer` lets a
+    protocol-5 pickler ship them out-of-band (see
+    :mod:`repro.distsim.transport`), so a bulky reply is never copied
+    through the pickle stream.  :meth:`VectorTriplet.from_compact`
+    accepts what the transport hands back for either form, so the
     rewrite is transparent to receivers.  The *simulated* ledger is
     untouched -- it is defined on :meth:`VectorTriplet.wire_bytes`.
     """
-    fragment_id, n, v_mask, cv_mask, dv_mask, residues, table = wire
-    if n < threshold * 8:  # all three masks are below threshold: no-op
-        return wire
+    if len(blob) < threshold:
+        return blob
+    return pickle.PickleBuffer(blob)
 
-    def lift(mask: int):
-        nbytes = (mask.bit_length() + 7) // 8
-        if nbytes < threshold:
-            return mask
-        return pickle.PickleBuffer(mask.to_bytes(nbytes, "little"))
 
-    return (fragment_id, n, lift(v_mask), lift(cv_mask), lift(dv_mask), residues, table)
+def clear_interned() -> None:
+    """Forget every decoded triplet (tests compare against a cold table)."""
+    with _intern_lock:
+        _interned.clear()
 
 
 __all__ = [
     "VectorTriplet",
     "ground_triplet_from_bools",
     "compact_with_buffers",
-    "OOB_MASK_BYTES",
+    "clear_interned",
+    "INTERN_CAP",
+    "OOB_BLOB_BYTES",
 ]

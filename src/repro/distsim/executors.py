@@ -26,9 +26,11 @@ module makes the parallelism real while keeping the simulation honest:
   form resident (:class:`~repro.distsim.resident.ResidentSiteState`,
   shared with the networked serving tier).  Batches then ship only
   ``(fragment_id, epoch)`` references and the query program; replies
-  travel as compact triplets whose large bitmasks ride pickle
-  protocol-5 out-of-band buffers (:mod:`~repro.distsim.transport`),
-  with ``multiprocessing.shared_memory`` for bulk totals.  A worker
+  travel as encoded triplet blobs -- served from the resident copy's
+  memo while the fragment's epoch stands -- of which the large ones
+  ride pickle protocol-5 out-of-band buffers
+  (:mod:`~repro.distsim.transport`), with
+  ``multiprocessing.shared_memory`` for bulk totals.  A worker
   that missed an invalidation (or a patch's base epoch) answers with a
   typed *stale* reply and the dispatcher re-pushes in full and retries
   -- the in-process mirror of the serving tier's ``unknown-fragment``
@@ -222,17 +224,24 @@ def resident_fragment_wire(fragment: Fragment) -> tuple[str, int, str]:
 
 
 def outcome_from_wire(site_id: str, fragment_results: tuple, seconds: float) -> SiteOutcome:
-    """Rebuild a :class:`SiteOutcome` from wire-form per-fragment results."""
+    """Rebuild a :class:`SiteOutcome` from wire-form per-fragment results.
+
+    The one decode point of both remote tiers.  Each result leads with
+    a triplet blob; equal blobs decode to one shared triplet
+    (:meth:`~repro.core.vectors.VectorTriplet.from_compact`), so a
+    resent result costs the coordinator a table lookup.  A blob that
+    does not decode raises :class:`ValueError`.
+    """
     from repro.core.vectors import VectorTriplet  # local: import cycle
 
     outcomes = tuple(
         FragmentOutcome(
-            triplet=VectorTriplet.from_compact(triplet_wire),
+            triplet=VectorTriplet.from_compact(blob),
             nodes_visited=nodes,
             qlist_ops=ops,
             segment_ops=tuple(segment_ops),
         )
-        for triplet_wire, nodes, ops, segment_ops in fragment_results
+        for blob, nodes, ops, segment_ops in fragment_results
     )
     return SiteOutcome(site_id=site_id, fragments=outcomes, seconds=seconds)
 
@@ -359,14 +368,18 @@ def _resident_worker_main(conn) -> None:
       ``(trace_id, parent_span_id)`` pair; when present the ok reply
       grows a trailing tuple of span wire forms (both sides index
       tolerantly, so either end may predate the field);
-    * ``("stats",)`` -- residency introspection for tests/leak checks;
+    * ``("stats",)`` -- residency introspection for tests/leak checks,
+      with ``result_hits`` / ``result_misses``: per-fragment results
+      served from a resident copy's memo vs evaluated;
     * ``("stop",)`` -- exit (never batched with other messages).
     """
+    from repro.core.vectors import compact_with_buffers
     from repro.distsim import transport
     from repro.distsim.resident import ResidentSiteState, StaleResidentError
 
     state = ResidentSiteState()
     algebras: dict[str, FormulaAlgebra] = {}
+    result_counts = {"result_hits": 0, "result_misses": 0}
 
     def handle(message: tuple) -> tuple:
         """One message -> one reply; errors answer typed, never raise."""
@@ -391,18 +404,21 @@ def _resident_worker_main(conn) -> None:
                         fragments=len(refs),
                     )
                 try:
-                    results, seconds = state.run(site_id, refs, qlist, algebra, segments)
+                    results, seconds, hits = state.run_counted(
+                        site_id, refs, qlist, algebra, segments
+                    )
                 except StaleResidentError as stale:
                     return ("stale", stale.missing)
-                from repro.core.vectors import compact_with_buffers
-
+                result_counts["result_hits"] += hits
+                result_counts["result_misses"] += len(results) - hits
                 wired = tuple(
-                    (compact_with_buffers(compact), nodes, ops, segment_ops)
-                    for compact, nodes, ops, segment_ops in results
+                    (compact_with_buffers(blob), nodes, ops, segment_ops)
+                    for blob, nodes, ops, segment_ops in results
                 )
                 reply = ("ok", site_id, wired, seconds)
                 if timer is not None:
-                    reply += ((timer.finish(seconds=round(seconds, 6)).to_wire(),),)
+                    span = timer.finish(seconds=round(seconds, 6), memo_hits=hits)
+                    reply += ((span.to_wire(),),)
                 return reply
             if kind == "push":
                 return ("ok", state.store(message[1]))
@@ -418,6 +434,7 @@ def _resident_worker_main(conn) -> None:
                         "receive_counts": dict(state.receive_counts),
                         "digests": state.content_digests(),
                         "queries": sorted(state.queries),
+                        **result_counts,
                     },
                 )
             return ("error", "ValueError", f"unknown message {kind!r}")
@@ -672,7 +689,7 @@ class ProcessSiteExecutor(SiteExecutor):
             job.site_id,
             tuple((fragment.fragment_id, fragment.epoch) for fragment in job.fragments),
             qlist_fingerprint(job.qlist),
-            job.qlist.to_obj(),
+            job.qlist.wire_obj(),
             algebra_name,
             job.segments,
         )

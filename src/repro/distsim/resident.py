@@ -15,6 +15,18 @@ co-located on the holder fold in one site-vectorized pass with shared
 compiled programs and per-``(fragment, query)`` base caches -- which a
 patch splices rather than drops.
 
+The triplet of a fragment is a function of the fragment's content and
+the query alone (the fact the paper's maintenance scheme rests on), so
+each resident copy also keeps, *at its epoch*, the finished reply item
+of every ``(query, algebra)`` it has answered: a resend against an
+unchanged fragment skips the kernel and the encode.  The memo hangs off
+the ``(epoch, Fragment, linear)`` entry itself
+(:class:`ResidentFragment`), and a new entry is the only way a copy
+ever changes (:meth:`ResidentSiteState.install`, ``patch``), so a push,
+a patch, a retire or a re-install drops it by construction.  Query
+residency is an LRU of :data:`QUERY_CAP` programs; evicting one drops
+what every fragment derived from it.
+
 A job referencing an epoch the holder does not have raises
 :class:`StaleResidentError` -- typed, with the exact missing ids -- so
 dispatchers re-push and retry instead of serving stale answers.  This
@@ -32,8 +44,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import Counter
-from typing import Optional, Sequence
+from collections import Counter, OrderedDict
+from typing import Sequence
 
 from repro.fragments.fragment import Fragment
 from repro.xpath.qlist import QList
@@ -70,6 +82,12 @@ def fragment_digest(fragment: Fragment) -> str:
     return hashlib.sha1(serialize(fragment.root).encode("utf-8")).hexdigest()
 
 
+def wire_fingerprint(qlist_obj) -> str:
+    """Content fingerprint of a QList wire form (lists or tuples alike)."""
+    payload = json.dumps(qlist_obj, separators=(",", ":"))
+    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
+
+
 def qlist_fingerprint(qlist: QList) -> str:
     """Stable content fingerprint of a QList's wire form (cached on it).
 
@@ -78,25 +96,52 @@ def qlist_fingerprint(qlist: QList) -> str:
     and two QList objects with identical entries share one resident
     compilation.
     """
-    cached = getattr(qlist, "_resident_fingerprint", None)
+    cached = qlist._resident_fingerprint
     if cached is None:
-        payload = json.dumps(qlist.to_obj(), separators=(",", ":"))
-        cached = hashlib.sha1(payload.encode("utf-8")).hexdigest()
-        try:
-            qlist._resident_fingerprint = cached
-        except AttributeError:
-            pass
+        cached = qlist._resident_fingerprint = wire_fingerprint(qlist.wire_obj())
     return cached
+
+
+#: Resident query programs per holder (least recently referenced goes
+#: first).  Each pins two generated kernels, a leaf memo and, on every
+#: fragment, a base list and a results memo; dispatchers resend the
+#: wire form with every job, so a re-reference just re-installs.
+QUERY_CAP = 128
+
+
+class ResidentFragment(tuple):
+    """One resident copy: ``(epoch, Fragment, GroundLinear | None)``.
+
+    ``results`` maps ``query -> {algebra type -> (triplet blob,
+    nodes_visited)}`` for what this copy, at this epoch, has answered.
+    It is reachable through this entry only: replacing the entry --
+    the one way a holder's copy changes -- leaves it to the collector.
+    """
+
+    def __new__(cls, epoch: int, fragment: Fragment, linear) -> "ResidentFragment":
+        self = super().__new__(cls, (epoch, fragment, linear))
+        self.results: dict = {}
+        return self
+
+
+def _missing(refs: Sequence[tuple], entries: Sequence) -> list[str]:
+    """Ids of the ``(fragment_id, epoch)`` references whose entry (parallel
+    to ``refs``; ``None`` = not held) is absent or at another epoch."""
+    return [
+        fragment_id
+        for (fragment_id, epoch), entry in zip(refs, entries)
+        if entry is None or entry[0] != epoch
+    ]
 
 
 class ResidentSiteState:
     """Fragment + query residency of one remote evaluation holder."""
 
     def __init__(self) -> None:
-        #: fragment id -> (epoch, Fragment, GroundLinear | None)
-        self.fragments: dict[str, tuple] = {}
-        #: query fingerprint -> canonical QList object
-        self.queries: dict[str, QList] = {}
+        #: fragment id -> :class:`ResidentFragment`
+        self.fragments: dict[str, ResidentFragment] = {}
+        #: query fingerprint -> canonical QList object, LRU-ordered
+        self.queries: OrderedDict[str, QList] = OrderedDict()
         #: (fragment_id, epoch) -> arrivals by push or patch (once-per-epoch witness)
         self.receive_counts: Counter = Counter()
 
@@ -110,15 +155,28 @@ class ResidentSiteState:
         afterwards evaluation never touches XML again.  Returns the
         number of fragments installed.
         """
-        from repro.core.bottom_up import linearize_ground  # local: import cycle
         from repro.xmltree.parser import parse_xml  # local: import cycle
 
         for fragment_id, epoch, xml_text in wires:
             fragment = Fragment(fragment_id, parse_xml(xml_text).root)
             fragment.epoch = epoch
-            self.fragments[fragment_id] = (epoch, fragment, linearize_ground(fragment))
+            self.install(fragment)
             self.receive_counts[(fragment_id, epoch)] += 1
         return len(wires)
+
+    def install(self, fragment: Fragment) -> None:
+        """Make ``fragment`` the resident copy, at its own epoch.
+
+        Every whole-tree replacement goes through here -- a push, and
+        the serving tier's fragment view alike -- so whatever the
+        replaced copy had answered goes with it, whether or not the
+        epoch moved.
+        """
+        from repro.core.bottom_up import linearize_ground  # local: import cycle
+
+        self.fragments[fragment.fragment_id] = ResidentFragment(
+            fragment.epoch, fragment, linearize_ground(fragment)
+        )
 
     def patch(self, patches: Sequence[tuple]) -> int:
         """Bring resident fragments forward by journalled content edits.
@@ -128,7 +186,8 @@ class ResidentSiteState:
         applied only to a copy held at exactly ``base_epoch`` -- the
         tree is edited, a ground fragment's linearization (and every
         per-query base list cached on it) spliced at the touched range,
-        and the copy stamped ``new_epoch``.  Any other patch is dropped
+        and the copy stamped ``new_epoch`` under a fresh entry, without
+        the results the old epoch had answered.  Any other patch is dropped
         untouched: the job that follows references ``new_epoch``, draws
         :class:`StaleResidentError` and is healed by a full push.
         Returns the number of patches applied.
@@ -156,7 +215,7 @@ class ResidentSiteState:
             if reshaped:
                 linear.relevel()
             fragment.epoch = new_epoch
-            self.fragments[fragment_id] = (new_epoch, fragment, linear)
+            self.fragments[fragment_id] = ResidentFragment(new_epoch, fragment, linear)
             self.receive_counts[(fragment_id, new_epoch)] += 1
             applied += 1
         return applied
@@ -182,12 +241,7 @@ class ResidentSiteState:
 
         Epochs must match exactly: a copy is never served on its id alone.
         """
-        missing = []
-        for fragment_id, epoch in refs:
-            entry = self.fragments.get(fragment_id)
-            if entry is None or entry[0] != epoch:
-                missing.append(fragment_id)
-        return missing
+        return _missing(refs, [self.fragments.get(fragment_id) for fragment_id, _ in refs])
 
     # ------------------------------------------------------------------
     # Query residency
@@ -197,15 +251,25 @@ class ResidentSiteState:
 
         The first reference must carry the wire form (``qlist_obj``);
         later references hit the cache, which is what keeps compiled
-        entries, ground programs, lane kernels and per-fragment base
-        arrays alive across batches.
+        entries, ground programs, lane kernels, per-fragment base
+        arrays and answered results alive across batches.  Beyond
+        :data:`QUERY_CAP` programs the least recently referenced one is
+        dropped, with its base list and results on every fragment.
         """
         qlist = self.queries.get(fingerprint)
-        if qlist is None:
-            if qlist_obj is None:
-                raise KeyError(f"unknown resident query {fingerprint!r}")
-            qlist = QList.from_obj(qlist_obj)
-            self.queries[fingerprint] = qlist
+        if qlist is not None:
+            self.queries.move_to_end(fingerprint)
+            return qlist
+        if qlist_obj is None:
+            raise KeyError(f"unknown resident query {fingerprint!r}")
+        qlist = self.queries[fingerprint] = QList.from_obj(qlist_obj)
+        qlist._resident_fingerprint = fingerprint  # what qlist_fingerprint would work out
+        while len(self.queries) > QUERY_CAP:
+            _, evicted = self.queries.popitem(last=False)
+            for entry in list(self.fragments.values()):
+                entry.results.pop(evicted, None)
+                if entry[2] is not None:
+                    entry[2].bases.pop(evicted, None)
         return qlist
 
     # ------------------------------------------------------------------
@@ -223,40 +287,79 @@ class ResidentSiteState:
 
         ``refs`` is the ordered ``(fragment_id, epoch)`` list of the
         job; raises :class:`StaleResidentError` before touching any
-        fragment if one reference cannot be served.  Returns
-        ``(per-fragment results, busy seconds)`` where each result is
-        ``(compact triplet, nodes visited, qlist ops, segment ops)`` --
-        bitwise identical to the per-fragment path, one vectorized
-        pass for all ground fragments.
+        fragment (or any memo) if one reference cannot be served.
+        Returns ``(per-fragment results, busy seconds)`` where each
+        result is ``(triplet blob, nodes visited, qlist ops, segment
+        ops)`` -- bitwise identical to the per-fragment path, one
+        vectorized pass for all ground fragments that have to be
+        evaluated.
+
+        A fragment whose copy already answered ``qlist`` under this
+        algebra at the epoch it still holds is served from that copy's
+        memo: the same blob, the same ``nodes visited``.  Those counts
+        (and the ops derived from them) are then the ledger's
+        *algorithmic* cost -- what ``bottomUp`` visits for this
+        fragment and query -- not work this call performed; ``seconds``
+        stays what the call really spent, so on a warm holder it times
+        the lookups.  Only a resident query (:meth:`ensure_query`) is
+        memoized, so the memo is bounded like query residency is.
         """
+        # The pair the benchmark harness and the tests unpack;
+        # dispatchers that report hits call run_counted.
+        return self.run_counted(site_id, refs, qlist, algebra, segments)[:2]
+
+    def run_counted(
+        self,
+        site_id: str,
+        refs: Sequence[tuple],
+        qlist: QList,
+        algebra,
+        segments: tuple = (),
+    ) -> tuple[tuple, float, int]:
+        """:meth:`run`, plus how many results came from the memo."""
         from repro.core.bottom_up import site_bottom_up  # local: import cycle
 
-        missing = self.missing_for(refs)
+        # One read per fragment: the epoch check, the evaluation and
+        # the memo all see the same entry, so a concurrent install can
+        # neither slip a newer tree under an older reference nor be
+        # handed this call's results.
+        entries = [self.fragments.get(fragment_id) for fragment_id, _ in refs]
+        missing = _missing(refs, entries)
         if missing:
             raise StaleResidentError(site_id, missing)
-        residents = [
-            (entry[1], entry[2])
-            for entry in (self.fragments[fragment_id] for fragment_id, _ in refs)
-        ]
-        n = len(qlist)
         started = time.thread_time()
-        evaluated = site_bottom_up(residents, qlist, algebra)
-        results = tuple(
-            (
-                triplet.to_compact(),
-                nodes,
-                nodes * n,
-                tuple(nodes * length for _, length in segments),
+        resident_query = self.queries.get(qlist._resident_fingerprint) is qlist
+        algebra_type = type(algebra)
+        items, cold = [], []
+        for index, entry in enumerate(entries):
+            answered = entry.results.get(qlist)
+            item = answered.get(algebra_type) if answered else None
+            if item is None:
+                cold.append(index)
+            items.append(item)
+        if cold:
+            evaluated = site_bottom_up(
+                [entries[index][1:] for index in cold], qlist, algebra
             )
-            for triplet, nodes in evaluated
+            for index, (triplet, nodes) in zip(cold, evaluated):
+                items[index] = (triplet.to_blob(), nodes)
+                if resident_query:
+                    entries[index].results.setdefault(qlist, {})[algebra_type] = items[index]
+        n = len(qlist)
+        results = tuple(
+            (blob, nodes, nodes * n, tuple(nodes * length for _, length in segments))
+            for blob, nodes in items
         )
         seconds = time.thread_time() - started
-        return results, seconds
+        return results, seconds, len(items) - len(cold)
 
 
 __all__ = [
+    "QUERY_CAP",
+    "ResidentFragment",
     "ResidentSiteState",
     "StaleResidentError",
     "fragment_digest",
     "qlist_fingerprint",
+    "wire_fingerprint",
 ]

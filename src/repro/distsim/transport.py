@@ -2,13 +2,13 @@
 
 The resident process executor talks to its workers over
 ``multiprocessing`` pipes.  Naive ``Connection.send`` pickles with
-protocol 3-ish defaults and copies every bitmask through the pickle
+protocol 3-ish defaults and copies every bulky value through the pickle
 stream; this module layers **pickle protocol-5 out-of-band buffers**
 on top of the raw pipe instead:
 
-* the payload skeleton (tuples, strings, small ints) is pickled once,
-  with every :class:`pickle.PickleBuffer` inside it -- the large
-  TRUE/FALSE prefix masks of compact triplets, see
+* the payload skeleton (tuples, strings, small ints, small blobs) is
+  pickled once, with every :class:`pickle.PickleBuffer` inside it --
+  the large encoded triplets, see
   :func:`repro.core.vectors.compact_with_buffers` -- collected by the
   ``buffer_callback`` instead of being serialized;
 * small buffer totals ride the pipe as separate ``send_bytes`` frames
@@ -44,6 +44,7 @@ path unchanged.
 
 from __future__ import annotations
 
+import io
 import pickle
 from typing import Any, Callable
 
@@ -55,6 +56,26 @@ BATCH = "batch"
 #: Out-of-band buffer totals at or above this many bytes ride one
 #: shared-memory segment instead of pipe frames.
 SHM_THRESHOLD_BYTES = 1 << 20
+
+
+class RestrictedUnpickler(pickle.Unpickler):
+    """An unpickler that refuses to import anything.
+
+    Wire payloads -- serving-protocol messages, encoded triplets -- are
+    built from containers and scalars only (ints, strings, bytes,
+    floats, tuples, lists, dicts, bools, None), so a payload that
+    *needs* a global is by definition malformed; and on a decoder that
+    reads bytes another process wrote, refusing imports is what keeps a
+    crafted payload from instantiating arbitrary classes.
+    """
+
+    def find_class(self, module, name):  # noqa: D102 - pickle hook
+        raise pickle.UnpicklingError(f"payload may not reference {module}.{name}")
+
+
+def restricted_loads(data) -> Any:
+    """``pickle.loads`` through :class:`RestrictedUnpickler`."""
+    return RestrictedUnpickler(io.BytesIO(data)).load()
 
 
 def _unregister_shm(name: str) -> None:
@@ -202,6 +223,8 @@ class SubmissionQueue:
 
 
 __all__ = [
+    "RestrictedUnpickler",
+    "restricted_loads",
     "send_payload",
     "recv_payload",
     "SHM_THRESHOLD_BYTES",

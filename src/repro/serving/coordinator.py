@@ -66,6 +66,7 @@ from repro.serving.protocol import (
     LoadFragments,
     Loaded,
     Message,
+    PayloadError,
     Ping,
     Pong,
     ProtocolError,
@@ -323,6 +324,16 @@ class Coordinator:
             "Compiled-plan cache lookups by coordinator and result",
             labelnames=("coordinator", "result"),
         )
+        #: What the sites report per reply (same series name as on a
+        #: site server's own registry, so ``repro top`` reads either).
+        results_total = self.registry.counter(
+            "resident_results_total",
+            "Per-fragment results served from a resident copy's memo (hit) "
+            "or evaluated (miss)",
+            labelnames=("result",),
+        )
+        self._result_hits = results_total.labels(result="hit")
+        self._result_misses = results_total.labels(result="miss")
         self._links: dict[SiteEndpoint, SiteLink] = {}
         self._request_ids = itertools.count(1)
         self._executor = RemoteSiteExecutor(self)
@@ -481,14 +492,21 @@ class Coordinator:
         assert isinstance(reply, ExecuteReply)
         if sink is not None and reply.spans:
             sink.extend(reply.spans)
-        return outcome_from_wire(job.site_id, reply.results, reply.seconds)
+        self._result_hits.inc(reply.memo_hits)
+        self._result_misses.inc(len(reply.results) - reply.memo_hits)
+        try:
+            return outcome_from_wire(job.site_id, reply.results, reply.seconds)
+        except ValueError as error:
+            # A site whose results do not decode is as untrustworthy as
+            # one whose frames do not: same typed failure, same retry.
+            raise PayloadError(f"site {job.site_id}: {error}") from None
 
     def _request_for(self, job: SiteJob, timer: Optional[SpanTimer] = None) -> ExecuteRequest:
         return ExecuteRequest(
             request_id=next(self._request_ids),
             site_id=job.site_id,
             fragment_ids=tuple(f.fragment_id for f in job.fragments),
-            qlist_obj=tuple(tuple(entry) for entry in job.qlist.to_obj()),
+            qlist_obj=job.qlist.wire_obj(),
             algebra=algebra_wire_name(job.algebra),
             segments=job.segments,
             label=job.label,

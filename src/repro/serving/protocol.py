@@ -10,7 +10,7 @@ pickled payload::
 
 Every message is a frozen dataclass with a ``KIND`` byte and a
 field-tuple wire form; payloads are pickled field tuples (the same
-transport the process executor uses -- compact triplets, QList objects
+transport the process executor uses -- triplet blobs, QList objects
 and fragment XML all ride through unchanged).  The framing layer is
 deliberately paranoid: **any** malformed input -- wrong magic, oversized
 length, a payload that does not unpickle, a field tuple with the wrong
@@ -40,13 +40,13 @@ Failure taxonomy:
 from __future__ import annotations
 
 import asyncio
-import io
 import pickle
 import struct
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from repro.distsim.metrics import Metrics
+from repro.distsim.transport import restricted_loads
 
 #: Protocol magic: the first two bytes of every frame.
 MAGIC = b"RP"
@@ -285,7 +285,9 @@ class ExecuteReply(Message):
 
     ``results`` is exactly what
     :meth:`repro.distsim.resident.ResidentSiteState.run` returns: one
-    ``(compact triplet, nodes, ops, segment_ops)`` tuple per fragment.
+    ``(triplet blob, nodes, ops, segment_ops)`` tuple per fragment.
+    The blob is opaque here; the coordinator decodes it, import-free,
+    in :func:`~repro.distsim.executors.outcome_from_wire`.
     """
 
     KIND = 13
@@ -295,12 +297,28 @@ class ExecuteReply(Message):
     #: Span wire forms recorded on the site while serving this request
     #: (empty when the request carried no trace context).
     spans: tuple = ()
+    #: How many of ``results`` the site served from its results memo.
+    memo_hits: int = 0
 
     def validate(self) -> None:
         _require(isinstance(self.request_id, int), "request_id must be an int")
         _require(isinstance(self.results, tuple), "results must be a tuple")
+        for item in self.results:
+            _require(
+                isinstance(item, tuple)
+                and len(item) == 4
+                and isinstance(item[0], bytes)
+                and isinstance(item[1], int)
+                and isinstance(item[2], int)
+                and isinstance(item[3], tuple),
+                "each result must be a (blob, nodes, ops, segment_ops) tuple",
+            )
         _require(isinstance(self.seconds, float), "seconds must be a float")
         _require_spans(self.spans)
+        _require(
+            isinstance(self.memo_hits, int) and 0 <= self.memo_hits <= len(self.results),
+            "memo_hits must count results",
+        )
 
 
 @dataclass(frozen=True)
@@ -491,20 +509,6 @@ MESSAGE_TYPES: dict[int, type[Message]] = {
 # ---------------------------------------------------------------------------
 
 
-class _RestrictedUnpickler(pickle.Unpickler):
-    """Payload unpickler that refuses to import anything.
-
-    Message payloads are built from containers and scalars only (ints,
-    strings, floats, tuples, lists, dicts, bools, None), so a payload
-    that *needs* a global is by definition malformed -- and on a
-    network-facing decoder, refusing imports is what keeps a crafted
-    payload from instantiating arbitrary classes.
-    """
-
-    def find_class(self, module, name):  # noqa: D102 - pickle hook
-        raise pickle.UnpicklingError(f"payload may not reference {module}.{name}")
-
-
 def encode_message(message: Message) -> bytes:
     """One message as one wire frame (validated like a decoded one)."""
     message.validate()
@@ -523,7 +527,7 @@ def decode_payload(kind: int, payload: bytes) -> Message:
     if message_cls is None:
         raise PayloadError(f"unknown message kind {kind}")
     try:
-        payload_fields = _RestrictedUnpickler(io.BytesIO(payload)).load()
+        payload_fields = restricted_loads(payload)
     except PayloadError:
         raise
     except Exception as error:  # pickle raises a wide, undocumented set

@@ -8,7 +8,7 @@ once, the paper's "one visit" discipline extended to placement), and
 then answers :class:`~repro.serving.protocol.ExecuteRequest` messages
 by running the very same site-local loop the process executor's workers
 run (:meth:`repro.distsim.resident.ResidentSiteState.run`), replying with
-compact triplets and the deterministic operation counts.  Because the
+encoded triplet blobs and the deterministic operation counts.  Because the
 compute core is shared, a site server's replies are bit-for-bit what
 the simulated ledger predicts -- which is what lets the differential
 test harness use the simulation as the oracle for the whole networked
@@ -40,7 +40,7 @@ import sys
 from typing import Optional
 
 from repro.distsim.executors import ALGEBRAS_BY_NAME
-from repro.distsim.resident import ResidentSiteState, qlist_fingerprint
+from repro.distsim.resident import ResidentSiteState, wire_fingerprint
 from repro.fragments.fragment import Fragment
 from repro.obs.logging import JsonLineHandler, emit as obs_emit, install_event_log
 from repro.obs.metrics import MetricsRegistry
@@ -65,7 +65,6 @@ from repro.serving.protocol import (
     read_message,
     write_message,
 )
-from repro.xpath.qlist import QList
 
 logger = logging.getLogger("repro.serving.site")
 
@@ -75,7 +74,9 @@ class _FragmentView:
 
     Fault tests reach in and ``clear()`` this to simulate a restarted,
     empty site; mutations must therefore hit the underlying
-    :class:`~repro.distsim.resident.ResidentSiteState`, not a snapshot.
+    :class:`~repro.distsim.resident.ResidentSiteState`, not a snapshot
+    -- through its own ``install`` / ``retire``, the one place a
+    resident copy (and what it had answered) is replaced.
     """
 
     def __init__(self, state: ResidentSiteState) -> None:
@@ -85,16 +86,13 @@ class _FragmentView:
         return self._state.fragments[fragment_id][1]
 
     def __setitem__(self, fragment_id: str, fragment: Fragment) -> None:
-        from repro.core.bottom_up import linearize_ground  # local: import cycle
-
-        self._state.fragments[fragment_id] = (
-            fragment.epoch,
-            fragment,
-            linearize_ground(fragment),
-        )
+        if fragment_id != fragment.fragment_id:
+            raise ValueError(f"fragment {fragment.fragment_id!r} filed under {fragment_id!r}")
+        self._state.install(fragment)
 
     def __delitem__(self, fragment_id: str) -> None:
-        del self._state.fragments[fragment_id]
+        if not self._state.retire([fragment_id]):
+            raise KeyError(fragment_id)
 
     def __contains__(self, fragment_id: object) -> bool:
         return fragment_id in self._state.fragments
@@ -106,7 +104,7 @@ class _FragmentView:
         return len(self._state.fragments)
 
     def clear(self) -> None:
-        self._state.fragments.clear()
+        self._state.retire(list(self._state.fragments))
 
 
 class SiteServer:
@@ -147,6 +145,14 @@ class SiteServer:
         self._fragments_gauge = self.registry.gauge(
             "site_fragments_resident", "Fragments currently resident"
         )
+        results_total = self.registry.counter(
+            "resident_results_total",
+            "Per-fragment results served from a resident copy's memo (hit) "
+            "or evaluated (miss)",
+            labelnames=("result",),
+        )
+        self._result_hits = results_total.labels(result="hit")
+        self._result_misses = results_total.labels(result="miss")
         self._server: Optional[asyncio.base_events.Server] = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._tasks: set[asyncio.Task] = set()
@@ -296,8 +302,11 @@ class SiteServer:
                 ERR_BAD_REQUEST,
                 f"unknown algebra {request.algebra!r}",
             )
-        qlist = QList.from_obj(list(request.qlist_obj))
-        qlist = self.state.ensure_query(qlist_fingerprint(qlist), qlist.to_obj())
+        # Fingerprint the wire form as received; a QList is built only
+        # for a program this site does not hold yet.
+        qlist = self.state.ensure_query(
+            wire_fingerprint(request.qlist_obj), request.qlist_obj
+        )
         segments = tuple(tuple(span) for span in request.segments)
         ctx = TraceContext.from_wire(request.trace)
         timer: Optional[SpanTimer] = None
@@ -310,14 +319,18 @@ class SiteServer:
                 fragments=len(request.fragment_ids),
                 label=request.label,
             )
-        results, seconds = await asyncio.to_thread(
-            self.state.run, self.name, refs, qlist, algebra_cls(), segments
+        results, seconds, hits = await asyncio.to_thread(
+            self.state.run_counted, self.name, refs, qlist, algebra_cls(), segments
         )
         self.requests_served += 1
         self._requests_total.inc()
         self._execute_seconds.observe(seconds)
-        spans = (timer.finish(seconds=round(seconds, 6)).to_wire(),) if timer is not None else ()
-        return ExecuteReply(request.request_id, results, seconds, spans)
+        self._result_hits.inc(hits)
+        self._result_misses.inc(len(results) - hits)
+        spans = ()
+        if timer is not None:
+            spans = (timer.finish(seconds=round(seconds, 6), memo_hits=hits).to_wire(),)
+        return ExecuteReply(request.request_id, results, seconds, spans, hits)
 
     async def _send(
         self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, message: Message

@@ -125,6 +125,13 @@ class QList:
                 raise ValueError(f"entry {index} is not topologically ordered")
         self._entries = tuple(entries)
         self.source = source
+        # Derived from the immutable entries, computed on first use.
+        self._wire_obj: Optional[tuple] = None
+        self._wire_bytes: Optional[int] = None
+        #: Content fingerprint of the wire form, filled in by
+        #: :func:`repro.distsim.resident.qlist_fingerprint` or by the
+        #: holder that built this QList from a fingerprinted wire form.
+        self._resident_fingerprint: Optional[str] = None
 
     @property
     def entries(self) -> tuple[QEntry, ...]:
@@ -164,11 +171,30 @@ class QList:
         entries = [QEntry(op, value=value, args=tuple(args)) for op, value, args in obj]
         return cls(entries, source=source)
 
+    def wire_obj(self) -> tuple:
+        """:meth:`to_obj` as nested tuples, built once and shared.
+
+        What dispatchers put on the wire with every job of every batch:
+        immutable, so one object serves them all (and pickles once per
+        frame); :meth:`from_obj` reads it like the list form.
+        """
+        cached = self._wire_obj
+        if cached is None:
+            cached = self._wire_obj = tuple(
+                (e.op, e.value, e.args) for e in self._entries
+            )
+        return cached
+
     def wire_bytes(self) -> int:
         """Byte size of the broadcast message carrying this query."""
-        import json
+        cached = self._wire_bytes
+        if cached is None:
+            import json
 
-        return len(json.dumps(self.to_obj(), separators=(",", ":")).encode())
+            cached = self._wire_bytes = len(
+                json.dumps(self.to_obj(), separators=(",", ":")).encode()
+            )
+        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<QList |q|={len(self)} source={self.source!r}>"

@@ -455,11 +455,11 @@ class TestTransport:
         payload = ("job", "S1", (("F1", 7),), {"answer": True})
         assert self._roundtrip(payload) == payload
 
-    def test_out_of_band_masks_roundtrip_bitwise(self):
+    def test_out_of_band_blob_roundtrips_bitwise(self):
         cluster = build_portfolio_cluster()
         qlist = compile_query("[//stock]")
         triplet, _ = bottom_up(cluster.fragment("F2"), qlist, CanonicalAlgebra())
-        wire = compact_with_buffers(triplet.to_compact(), threshold=1)
+        wire = compact_with_buffers(triplet.to_blob(), threshold=1)
         received = self._roundtrip(("ok", (wire,)))
         assert VectorTriplet.from_compact(received[1][0]) == triplet
 
@@ -467,7 +467,7 @@ class TestTransport:
         cluster = build_portfolio_cluster()
         qlist = compile_query("[//stock]")
         triplet, _ = bottom_up(cluster.fragment("F2"), qlist, CanonicalAlgebra())
-        wire = compact_with_buffers(triplet.to_compact(), threshold=1)
+        wire = compact_with_buffers(triplet.to_blob(), threshold=1)
         received = self._roundtrip(("ok", (wire,)), shm_threshold=1)
         assert VectorTriplet.from_compact(received[1][0]) == triplet
 

@@ -74,7 +74,12 @@ SAMPLE_MESSAGES = [
         label="",
         epochs=(),
     ),  # all-empty fields are well-formed
-    ExecuteReply(request_id=7, results=((("F0", 2, 3, 0, 0, (), ()), 5, 10, (10,)),), seconds=0.25),
+    ExecuteReply(
+        request_id=7,
+        results=((pickle.dumps(("F0", 2, 3, 0, 0, (), ()), protocol=5), 5, 10, (10,)),),
+        seconds=0.25,
+        memo_hits=1,
+    ),
     ExecuteReply(request_id=1, results=(), seconds=0.0),
     ErrorReply(request_id=7, code="unknown-fragment", message="no F9"),
     QueryRequest(request_id=3, queries=("[//a]", ("qlist", (("label", "a", ()),))), engine="parbox"),
@@ -250,6 +255,52 @@ def test_executerequest_epochs_must_parallel_fragment_ids():
     # Omitting the field on the wire is no longer a way around the check.
     with pytest.raises(ProtocolError):
         decode_payload(ExecuteRequest.KIND, pickle.dumps(tuple(fields.values())))
+
+
+def test_executereply_results_carry_opaque_blobs():
+    blob = pickle.dumps(("F0", 2, 3, 0, 0, (), ()), protocol=5)
+    good = (blob, 5, 10, (10,))
+    for results in (
+        ((("F0", 2, 3, 0, 0, (), ()), 5, 10, (10,)),),  # the nested tuple of old
+        ((bytearray(blob), 5, 10, (10,)),),
+        ((blob, 5, 10),),
+        ((blob, "5", 10, ()),),
+        (good, None),
+    ):
+        _raises_on_encode_and_decode(ExecuteReply(request_id=1, results=results, seconds=0.0))
+    for memo_hits in (-1, 2, "1"):
+        _raises_on_encode_and_decode(
+            ExecuteReply(request_id=1, results=(good,), seconds=0.0, memo_hits=memo_hits)
+        )
+    # A peer that predates the field decodes as "no hits".
+    old_peer = pickle.dumps((1, (good,), 0.0))
+    assert decode_payload(ExecuteReply.KIND, old_peer).memo_hits == 0
+
+
+@pytest.mark.parametrize(
+    "bad_blob",
+    [
+        b"ccolorsys\nrgb_to_hls\n.",  # a global reference
+        pickle.dumps(("F0", 2, 3, 0, 0, (), ()), protocol=5)[:-4],  # truncated
+        pickle.dumps(["F0", 2, 3, 0, 0, (), ()], protocol=5),  # not a tuple
+    ],
+    ids=["global", "truncated", "non-tuple"],
+)
+def test_malformed_result_blob_crosses_the_wire_and_fails_typed_at_decode(bad_blob):
+    # The frame layer carries blobs unopened (they are bytes, nothing
+    # in them is unpickled with the frame); the coordinator's decode
+    # refuses them without importing anything.
+    import sys
+
+    from repro.distsim.executors import outcome_from_wire
+
+    sys.modules.pop("colorsys", None)
+    reply = ExecuteReply(request_id=3, results=((bad_blob, 1, 1, ()),), seconds=0.0)
+    (decoded,) = Framer().feed(encode_message(reply))
+    assert decoded == reply
+    with pytest.raises(ValueError):
+        outcome_from_wire("S0", decoded.results, decoded.seconds)
+    assert "colorsys" not in sys.modules
 
 
 def test_queryrequest_rejects_empty_batch_and_bad_tags():
