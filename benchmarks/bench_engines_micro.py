@@ -14,12 +14,12 @@ from repro.core import (
     NaiveCentralizedEngine,
     NaiveDistributedEngine,
     ParBoXEngine,
+    QuerySession,
     SelectionEngine,
 )
-from repro.views import MaterializedView
+from repro.stream import InsNode
 from repro.workloads.queries import query_of_size, seal_query
 from repro.workloads.topologies import chain_ft2
-from repro.xmltree import XMLNode
 from repro.xpath import compile_query
 
 
@@ -75,12 +75,8 @@ def test_query_compilation(benchmark):
 
 
 def test_view_maintenance_refresh(benchmark, cluster, qlist):
-    view = MaterializedView.create(cluster, qlist)
-    target = cluster.fragment("F3").root
-
-    def update_and_refresh():
-        target.add_child(XMLNode("note", text="x"))
-        return view.refresh_fragment("F3")
-
-    report = benchmark(update_and_refresh)
-    assert report.is_localized()
+    with QuerySession(cluster) as session:
+        view = session.watch([qlist])
+        target = cluster.fragment("F3").root.node_id
+        round_ = benchmark(lambda: view.apply([InsNode("F3", target, "note", text="x")]))
+    assert round_.is_localized()

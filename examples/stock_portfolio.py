@@ -5,23 +5,24 @@ Walks the paper's running example end to end:
 1. every engine answers the paper's queries identically;
 2. the Section 8 extension *selects* the matching stock positions
    (not just true/false) with at most two visits per site;
-3. a materialized view watches for "GOOG reaches $376" and is maintained
+3. a standing query watches for "GOOG reaches $376" and is maintained
    incrementally as NASDAQ updates a sell price -- only the updated
    fragment's site recomputes.
 
 Together the three parts exercise most of the public API: the engine
 registry and agreement (``repro.core``), the Section 8 selection
 extension (``SelectionEngine``), and the Section 5 maintenance story
-(``repro.views``).  Every engine shown here also accepts
-``executor="threads"`` or ``"process"`` to run its per-site work truly
-concurrently -- see ``examples/parallel_sites.py`` for that comparison.
+(``QuerySession.watch()`` fed typed updates from ``repro.stream``).
+Every engine shown here also accepts ``executor="threads"`` or
+``"process"`` to run its per-site work truly concurrently -- see
+``examples/parallel_sites.py`` for that comparison.
 
 Run:  python examples/stock_portfolio.py
 """
 
 from repro import ALL_ENGINES, compile_query
-from repro.core import SelectionEngine
-from repro.views import MaterializedView
+from repro.core import QuerySession, SelectionEngine
+from repro.stream import InsNode, Relabel
 from repro.workloads.portfolio import PORTFOLIO_QUERIES, build_portfolio_cluster
 
 
@@ -60,30 +61,35 @@ def _node_at(cluster, path):
 
 def run_view_maintenance(cluster) -> None:
     print("\n=== 3. Watching for GOOG @ $376 (incremental maintenance) ===")
-    query = compile_query('[//stock[code = "GOOG" and sell = "376"]]')
-    view = MaterializedView.create(cluster, query)
-    print(f"  initial answer: {view.ans}")
+    watch = '[//stock[code = "GOOG" and sell = "376"]]'
+    with QuerySession(cluster) as session:
+        view = session.watch([watch], names=["goog-376"])
+        print(f"  initial answer: {view.answer('goog-376')}")
 
-    # NASDAQ updates the sell price of the GOOG position in fragment F2.
-    f2 = cluster.fragment("F2")
-    sell = next(n for n in f2.root.iter_subtree() if n.label == "sell")
-    print(f"  F2 sell price: {sell.text} -> 376")
-    sell.text = "376"
-    report = view.refresh_fragment("F2")
-    print(f"  maintained answer: {view.ans} (changed: {report.answer_changed})")
-    print(
-        f"  cost: visited {list(report.sites_visited)}, "
-        f"recomputed {report.nodes_recomputed} nodes, "
-        f"{report.traffic_bytes} bytes on the wire"
-    )
+        # NASDAQ updates the sell price of the GOOG position in fragment F2.
+        f2 = cluster.fragment("F2")
+        sell = next(n for n in f2.root.iter_subtree() if n.label == "sell")
+        print(f"  F2 sell price: {sell.text} -> 376")
+        round_ = view.apply([Relabel("F2", sell.node_id, text="376")])
+        print(
+            f"  maintained answer: {view.answer('goog-376')} "
+            f"(changed: {'goog-376' in round_.changed})"
+        )
+        print(
+            f"  cost: visited {list(round_.sites_visited)}, "
+            f"recomputed {round_.nodes_recomputed} nodes, "
+            f"{round_.traffic_bytes} bytes on the wire"
+        )
 
-    # An unrelated update elsewhere does not even reach evalST.
-    f0 = cluster.fragment("F0")
-    report = view.insert_node("F0", f0.root, "note", text="unrelated")
-    print(
-        f"  unrelated insert in F0: triplet changed = {report.triplet_changed}, "
-        f"answer recomputation skipped"
-    )
+        # An unrelated update elsewhere does not even reach evalST.
+        f0 = cluster.fragment("F0")
+        round_ = view.apply([InsNode("F0", f0.root.node_id, "note", text="unrelated")])
+        print(
+            f"  unrelated insert in F0: triplet changed = {round_.triplet_changed}, "
+            f"answer recomputation skipped"
+        )
+        # An ad-hoc read through the same session sees the updated document.
+        assert session.evaluate(watch).answer is view.answer("goog-376") is True
 
 
 def main() -> None:

@@ -27,7 +27,7 @@ from repro.core import (
 from repro.distsim import Cluster, NetworkModel
 from repro.distsim.network import KERNEL_SPEEDUP
 from repro.fragments import fragment_balanced, fragment_per_node
-from repro.views import MaterializedView
+from repro.stream import InsNode, Relabel, StreamMaintainer
 from repro.workloads.queries import QUERY_SIZES, query_of_size, seal_query
 from repro.workloads.topologies import bushy_ft3, chain_ft2, co_located, star_ft1
 from repro.workloads.xmark import generate_xmark_site
@@ -384,10 +384,12 @@ def sec5_incremental(config: Optional[BenchConfig] = None) -> ExperimentResult:
         cluster = config.with_network(
             star_ft1(5, scale, seed=config.seed, nodes_per_mb=config.nodes_per_mb)
         )
-        view = MaterializedView.create(cluster, qlist)
-        target = cluster.fragment("F3")
-        target.root.add_child(XMLNode("note", text="update"))
-        report = view.refresh_fragment("F3")
+        with StreamMaintainer(cluster) as maintainer:
+            maintainer.subscribe("view", qlist)
+            target = cluster.fragment("F3").root
+            report = maintainer.apply(
+                [InsNode("F3", target.node_id, "note", text="update")]
+            )
         scratch = ParBoXEngine(cluster).evaluate(qlist)
         result.add_row(
             round(scale, 1),
@@ -531,7 +533,6 @@ def stream_maintenance(config: Optional[BenchConfig] = None) -> ExperimentResult
     ``agree`` column checks the incremental answers bitwise against a
     from-scratch ParBoX batch evaluation of the same plan.
     """
-    from repro.stream import Relabel, StreamMaintainer
     from repro.workloads.pubsub import subscription_texts
 
     config = config or BenchConfig.default()
@@ -637,7 +638,6 @@ def placement_optimizer(config: Optional[BenchConfig] = None) -> ExperimentResul
     from repro.distsim import Cluster
     from repro.fragments import Placement
     from repro.placement import Constraints, Workload, balanced_random_placement
-    from repro.stream import Relabel
     from repro.workloads.pubsub import subscription_texts
 
     config = config or BenchConfig.default()

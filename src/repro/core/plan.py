@@ -5,12 +5,12 @@ standing queries wants them bounded *per batch*.  The trick is purely
 front-end: QList entries only ever reference earlier entries of the
 same query, so concatenating several QLists with offset-shifted operand
 indices yields one well-formed QList whose single ``bottomUp`` pass
-computes every input query at once.  This module turns that trick
-(previously private to :mod:`repro.views.registry`) into the planner
-layer every engine batches through:
+computes every input query at once.  This module is the planner layer
+every engine (and the standing book of :mod:`repro.stream`) batches
+through:
 
 * :class:`QueryCache` -- memoizes the text -> AST -> normal form ->
-  QList compilation pipeline, keyed by query text;
+  QList compilation pipeline, keyed by query text (a bounded LRU);
 * :func:`plan_batch` / :class:`BatchPlan` -- deduplicates repeated
   queries (identical QLists collapse into one shared segment), offsets
   and concatenates the unique ones, and remembers how to slice the
@@ -28,9 +28,10 @@ the degenerate case and reuses the input QList unchanged, which keeps
 
 from __future__ import annotations
 
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from repro.distsim.metrics import Metrics, QueryCost
 from repro.xpath import build_qlist, normalize, parse_query
@@ -49,32 +50,47 @@ class CompiledQuery:
     qlist: QList
 
 
+#: Bound on a :class:`QueryCache` (distinct texts, LRU).  A standing
+#: book re-sends its texts and keeps them recent; the bound exists so a
+#: server fed never-seen texts for its whole life does not pin every
+#: AST, normal form and QList it ever compiled (~9 KB a text).
+QUERY_CACHE_SIZE = 1024
+
+
 class QueryCache:
     """Memoized text -> AST -> normal form -> QList compilation.
 
     A pub/sub coordinator sees the same subscription text over and over;
     re-parsing it per batch would dominate small-query workloads.  The
-    cache is unbounded by design (standing queries *are* the working
-    set); :meth:`stats` reports the hit rate for the benchmarks.
+    cache keeps the :data:`QUERY_CACHE_SIZE` most recently used texts
+    (an evicted one simply compiles again, to an equal QList);
+    :meth:`stats` reports the hit rate for the benchmarks.
     """
 
     def __init__(self) -> None:
-        self._compiled: dict[str, CompiledQuery] = {}
+        self._compiled: OrderedDict[str, CompiledQuery] = OrderedDict()
+        #: A coordinator compiles on several worker threads at once.
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def compile(self, text: str) -> CompiledQuery:
         """Compile ``text``, reusing the pipeline output on repeat texts."""
-        cached = self._compiled.get(text)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
+        with self._lock:
+            cached = self._compiled.get(text)
+            if cached is not None:
+                self._compiled.move_to_end(text)
+                self.hits += 1
+                return cached
+            self.misses += 1
         ast = parse_query(text)
         normalized = normalize(ast)
         qlist = build_qlist(normalized, source=text)
         compiled = CompiledQuery(text=text, ast=ast, normalized=normalized, qlist=qlist)
-        self._compiled[text] = compiled
+        with self._lock:
+            self._compiled[text] = compiled
+            while len(self._compiled) > QUERY_CACHE_SIZE:
+                self._compiled.popitem(last=False)
         return compiled
 
     def qlist(self, query: Union[str, QList]) -> QList:
@@ -189,10 +205,7 @@ def plan_batch(queries: Sequence[QList]) -> BatchPlan:
     )
 
 
-def coerce_plan(
-    batch: Union[BatchPlan, Iterable[Union[str, QList]]],
-    cache: Optional[QueryCache] = None,
-) -> BatchPlan:
+def coerce_plan(batch: Union[BatchPlan, Iterable[Union[str, QList]]]) -> BatchPlan:
     """Accept a ready plan, or a mix of texts/QLists to plan now."""
     if isinstance(batch, BatchPlan):
         return batch
@@ -201,7 +214,7 @@ def coerce_plan(
             "a batch is a sequence of queries; wrap a single query text "
             "in a list (or call evaluate())"
         )
-    cache = cache or QueryCache()
+    cache = QueryCache()
     return plan_batch([cache.qlist(query) for query in batch])
 
 
@@ -250,6 +263,7 @@ def attribute_costs(
 __all__ = [
     "CompiledQuery",
     "QueryCache",
+    "QUERY_CACHE_SIZE",
     "BatchPlan",
     "plan_batch",
     "coerce_plan",

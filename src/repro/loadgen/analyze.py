@@ -135,6 +135,7 @@ def _round(value: Optional[float], digits: int = 3) -> Optional[float]:
 
 
 def render_deltas(deltas: Mapping[str, Mapping[str, Mapping[str, object]]]) -> str:
+    """Render the per-factor, per-level statistics as an indented text report."""
     lines: List[str] = []
     for factor, levels in deltas.items():
         lines.append(f"{factor}:")
@@ -200,6 +201,7 @@ def check_baseline_format(doc: object) -> List[str]:
 
 
 def load_baseline(path: Path) -> Dict[str, object]:
+    """Read a committed baseline document; reject one in the wrong format."""
     doc = json.loads(Path(path).read_text())
     problems = check_baseline_format(doc)
     if problems:

@@ -311,6 +311,7 @@ def default_table(**overrides) -> RunTable:
 
 
 def table_for_scale(scale: str, **overrides) -> RunTable:
+    """The ``quick`` or ``default`` run table, with field overrides applied."""
     if scale == "quick":
         return quick_table(**overrides)
     if scale == "default":

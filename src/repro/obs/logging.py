@@ -155,6 +155,7 @@ _EVENT_LOG: Optional[EventLog] = None
 
 
 def install_event_log(directory: os.PathLike, max_bytes: int = _DEFAULT_MAX_BYTES) -> EventLog:
+    """Open ``directory`` as the process-global event log (closing any previous one)."""
     global _EVENT_LOG
     if _EVENT_LOG is not None:
         _EVENT_LOG.close()
@@ -163,6 +164,7 @@ def install_event_log(directory: os.PathLike, max_bytes: int = _DEFAULT_MAX_BYTE
 
 
 def uninstall_event_log() -> None:
+    """Close and remove the process-global event log."""
     global _EVENT_LOG
     if _EVENT_LOG is not None:
         _EVENT_LOG.close()
@@ -170,9 +172,11 @@ def uninstall_event_log() -> None:
 
 
 def event_log() -> Optional[EventLog]:
+    """The process-global event log, or None when none is installed."""
     return _EVENT_LOG
 
 
 def emit(component: str, event: str, **fields: object) -> None:
+    """Append one event to the process-global log (no-op when none is installed)."""
     if _EVENT_LOG is not None:
         _EVENT_LOG.emit(component, event, **fields)

@@ -125,6 +125,8 @@ class _CounterChild:
 
 
 class Counter(_Instrument):
+    """A monotonically increasing count, optionally labelled."""
+
     kind = "counter"
 
     def _child(self, key):
@@ -158,6 +160,8 @@ class _GaugeChild:
 
 
 class Gauge(_Instrument):
+    """A value that goes up and down (set / inc / dec), optionally labelled."""
+
     kind = "gauge"
 
     def _child(self, key):
@@ -203,6 +207,8 @@ class _HistogramChild:
 
 
 class Histogram(_Instrument):
+    """Observations counted into fixed cumulative buckets, plus sum and count."""
+
     kind = "histogram"
 
     def __init__(self, name, help, labelnames, lock, buckets: Sequence[float] = DEFAULT_BUCKETS):
@@ -370,9 +376,11 @@ def install(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
 
 
 def uninstall() -> None:
+    """Remove the process-global registry (hot-path records become no-ops)."""
     global _REGISTRY
     _REGISTRY = None
 
 
 def installed() -> Optional[MetricsRegistry]:
+    """The process-global registry, or None when nobody is collecting."""
     return _REGISTRY

@@ -49,10 +49,12 @@ __all__ = [
 
 
 def new_trace_id() -> str:
+    """A fresh random 128-bit trace id (hex)."""
     return os.urandom(16).hex()
 
 
 def new_span_id() -> str:
+    """A fresh random 64-bit span id (hex)."""
     return os.urandom(8).hex()
 
 
@@ -287,6 +289,7 @@ _CURRENT: contextvars.ContextVar[Optional[TraceContext]] = contextvars.ContextVa
 
 
 def install_spans(store: Optional[SpanStore] = None) -> SpanStore:
+    """Install (or create and install) the in-process span collector."""
     global _COLLECTOR
     if store is None:
         store = SpanStore()
@@ -295,11 +298,13 @@ def install_spans(store: Optional[SpanStore] = None) -> SpanStore:
 
 
 def uninstall_spans() -> None:
+    """Remove the span collector (``span()`` becomes a no-op)."""
     global _COLLECTOR
     _COLLECTOR = None
 
 
 def installed_spans() -> Optional[SpanStore]:
+    """The installed span collector, or None when tracing is off."""
     return _COLLECTOR
 
 

@@ -283,7 +283,6 @@ class Coordinator:
         connect_timeout: float = 5.0,
         registry: Optional[MetricsRegistry] = None,
         name: str = "c0",
-        plan_cache_size: int = PLAN_CACHE_SIZE,
     ) -> None:
         missing = set(cluster.source_tree().sites()) - set(endpoints)
         if missing:
@@ -317,7 +316,6 @@ class Coordinator:
         #: planner; plans are frozen dataclasses over immutable QLists,
         #: so one plan object serves concurrent worker threads.
         self._plan_cache: OrderedDict[tuple, BatchPlan] = OrderedDict()
-        self._plan_cache_size = plan_cache_size
         self._plan_lock = threading.Lock()
         self._plan_events = self.registry.counter(
             "coordinator_plan_cache_total",
@@ -647,7 +645,7 @@ class Coordinator:
         if key is not None:
             with self._plan_lock:
                 self._plan_cache[key] = plan
-                while len(self._plan_cache) > self._plan_cache_size:
+                while len(self._plan_cache) > PLAN_CACHE_SIZE:
                     self._plan_cache.popitem(last=False)
         return plan
 

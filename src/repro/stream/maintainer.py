@@ -302,9 +302,11 @@ class StreamMaintainer:
     def refresh(self, fragment_ids: Sequence[str]) -> MaintenanceRound:
         """Refresh after out-of-band edits inside the given fragments.
 
-        For callers that mutate fragment contents directly (the
-        registry's ``notify_fragment_updated`` contract) instead of
-        going through the typed update log.  Unknown fragment ids are
+        For callers that changed fragment contents directly (a
+        ``node.text = ...``) instead of going through the typed update
+        log: the epoch bump the typed ops make happens here, so every
+        resident holder of the old content is invalidated (it re-ships;
+        there is no edit to patch with).  Unknown fragment ids are
         an error here -- silently skipping one would leave a caller
         serving stale answers with no signal.  (``apply`` tolerates
         mid-batch removals; that path filters internally.)
@@ -316,8 +318,6 @@ class StreamMaintainer:
         ]
         if unknown:
             raise KeyError(f"unknown fragment(s) {unknown}")
-        # Out-of-band edits bypass the typed ops' epoch bumps, so the
-        # resident-state invalidation happens here instead.
         for fragment_id in dict.fromkeys(fragment_ids):
             self.cluster.fragment(fragment_id).bump_epoch()
         batch = AppliedBatch(effects=(), dirty=tuple(dict.fromkeys(fragment_ids)))

@@ -269,9 +269,9 @@ def append_shifted(entries: list[QEntry], qlist: QList) -> int:
     only ever reference earlier entries of the same query, so shifting
     them by the current length keeps the growing list topologically
     ordered.  Returns the offset the appended query starts at (its
-    answer entry is ``offset + qlist.answer_index``).  Shared by
-    :func:`concatenate_qlists` and the batch planner
-    (:func:`repro.core.plan.plan_batch`).
+    answer entry is ``offset + qlist.answer_index``).  Shared by the
+    batch planner (:func:`repro.core.plan.plan_batch`) and the standing
+    book's segment table (:class:`repro.stream.dirty.DirtyIndex`).
     """
     offset = len(entries)
     for entry in qlist:
@@ -279,25 +279,6 @@ def append_shifted(entries: list[QEntry], qlist: QList) -> int:
             QEntry(entry.op, value=entry.value, args=tuple(arg + offset for arg in entry.args))
         )
     return offset
-
-
-def concatenate_qlists(qlists: list[QList]) -> tuple[QList, list[int]]:
-    """Concatenate several QLists into one, preserving topology.
-
-    Returns the combined list plus, per input query, the index of its
-    answer entry inside the combination.  Evaluating the combined list
-    computes every input query in a *single* tree traversal.  No
-    deduplication is performed -- the batch planner
-    (:func:`repro.core.plan.plan_batch`) builds on the same primitive
-    and adds duplicate collapsing and per-query segments on top.
-    """
-    entries: list[QEntry] = []
-    answer_indices: list[int] = []
-    for qlist in qlists:
-        offset = append_shifted(entries, qlist)
-        answer_indices.append(offset + qlist.answer_index)
-    sources = [qlist.source or "?" for qlist in qlists]
-    return QList(entries, source=" + ".join(sources)), answer_indices
 
 
 def build_qlist(expr: NBool, source: Optional[str] = None) -> QList:
@@ -322,7 +303,6 @@ __all__ = [
     "QEntry",
     "build_qlist",
     "append_shifted",
-    "concatenate_qlists",
     "OP_EPSILON",
     "OP_LABEL_IS",
     "OP_TEXT_IS",

@@ -7,6 +7,7 @@ from repro.core import (
     NaiveCentralizedEngine,
     NaiveDistributedEngine,
     ParBoXEngine,
+    QuerySession,
 )
 from repro.core.estimates import (
     estimate_lazy_worst_case,
@@ -15,11 +16,10 @@ from repro.core.estimates import (
     estimate_naive_distributed,
     estimate_parbox,
 )
-from repro.views import MaterializedView
+from repro.stream import InsNode
 from repro.workloads.portfolio import build_portfolio_cluster
 from repro.workloads.queries import query_of_size, seal_query
 from repro.workloads.topologies import chain_ft2, star_ft1
-from repro.xmltree import XMLNode
 
 
 @pytest.fixture
@@ -119,10 +119,11 @@ class TestLazyPredictions:
 
 class TestMaintenancePredictions:
     def test_refresh_costs_bounded(self, star, qlist):
-        view = MaterializedView.create(star, qlist)
-        star.fragment("F2").root.add_child(XMLNode("note", text="x"))
-        estimate = estimate_maintenance(star, qlist, "F2")
-        report = view.refresh_fragment("F2")
-        assert len(report.sites_visited) == estimate.total_visits == 1
-        # nodes_recomputed counts the fragment (plus the one-node update).
-        assert report.nodes_recomputed * len(qlist) <= estimate.total_ops + len(qlist)
+        with QuerySession(star) as session:
+            view = session.watch([qlist])
+            estimate = estimate_maintenance(star, qlist, "F2")
+            root = star.fragment("F2").root
+            round_ = view.apply([InsNode("F2", root.node_id, "note", text="x")])
+        assert len(round_.sites_visited) == estimate.total_visits == 1
+        # nodes_recomputed counts the fragment plus the one-node update.
+        assert round_.nodes_recomputed * len(qlist) <= estimate.total_ops + len(qlist)

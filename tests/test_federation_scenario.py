@@ -1,17 +1,24 @@
 """A long-running federation scenario exercising the whole stack together.
 
 Models the life of a small data federation: sites join (splits), data
-arrives (inserts), subscriptions stand (registry), analysts ask
+arrives (inserts), subscriptions stand (``watch()``), analysts ask
 node-selection questions, and sites consolidate (merges) -- asserting
 global consistency invariants after every step.
 """
 
 import pytest
 
-from repro.core import ALL_ENGINES, ParBoXEngine, SelectionEngine, evaluate_tree, select_centralized
+from repro.core import (
+    ALL_ENGINES,
+    ParBoXEngine,
+    QuerySession,
+    SelectionEngine,
+    evaluate_tree,
+    select_centralized,
+)
 from repro.distsim import Cluster
 from repro.fragments import fragment_balanced
-from repro.views import MaterializedView, SubscriptionRegistry
+from repro.stream import InsNode, MergeFragment, SplitFragment
 from repro.workloads.xmark import generate_xmark_site
 from repro.xmltree import element
 from repro.xpath import compile_query
@@ -47,54 +54,51 @@ def assert_consistent(cluster):
 class TestFederationLifecycle:
     def test_full_story(self, federation):
         cluster = federation
-        registry = SubscriptionRegistry(cluster)
-        for name, text in WATCH_QUERIES.items():
-            registry.subscribe(name, compile_query(text))
-        assert registry.answer("gold") is False
-        assert registry.answer("people") is True
-        assert_consistent(cluster)
+        with QuerySession(cluster) as session:
+            book = session.watch(list(WATCH_QUERIES.values()), names=list(WATCH_QUERIES))
+            assert book.answer("gold") is False
+            assert book.answer("people") is True
+            assert_consistent(cluster)
 
-        # --- a new department joins: split a subtree to a fresh site ---
-        f0 = cluster.fragment("F0")
-        candidate = next(
-            n
-            for n in f0.root.children
-            if not n.is_virtual and n.subtree_size() > 3
-        )
-        view = MaterializedView.create(cluster, compile_query("[//person]"))
-        view.apply_split("F0", candidate, "DEPT", target_site="S-NEW")
-        assert "S-NEW" in cluster.source_tree().sites()
-        assert_consistent(cluster)
+            # --- a new department joins: split a subtree to a fresh site ---
+            f0 = cluster.fragment("F0")
+            candidate = next(
+                n
+                for n in f0.root.children
+                if not n.is_virtual and n.subtree_size() > 3
+            )
+            joined = book.apply(
+                [SplitFragment("F0", candidate.node_id, "DEPT", target_site="S-NEW")]
+            )
+            assert "S-NEW" in cluster.source_tree().sites()
+            assert_consistent(cluster)
+            # The standing book rode the split: nothing to rebuild.
+            assert joined.changed == () and book.answer("people") is True
 
-        # The registry predates the split: rebuilding picks it up.
-        registry.recompute_from_scratch()
-        assert registry.answer("people") is True
+            # --- data arrives at the new department -----------------------
+            dept = cluster.fragment("DEPT").root
+            book.apply([InsNode("DEPT", dept.node_id, "item")])
+            item = dept.children[-1]
+            arrived = book.apply([InsNode("DEPT", item.node_id, "name", text="gold-bar")])
+            assert "gold" in arrived.changed
+            assert arrived.sites_visited == ("S-NEW",)
+            assert book.answer("gold") is True
+            assert_consistent(cluster)
 
-        # --- data arrives at the new department -----------------------
-        dept = cluster.fragment("DEPT")
-        dept.root.add_child(
-            element("item", element("name", text="gold-bar"))
-        )
-        report = registry.notify_fragment_updated("DEPT")
-        assert "gold" in report.changed
-        assert registry.answer("gold") is True
-        assert_consistent(cluster)
+            # --- analysts select across the federation --------------------
+            qlist = compile_query('[//item[name = "gold-bar"]]')
+            selection = SelectionEngine(cluster).select(qlist)
+            assert len(selection.paths) == 1
+            assert selection.result.metrics.max_visits_per_site() <= 2
+            # ... and an ad-hoc read through the session sees the same document.
+            assert session.evaluate(WATCH_QUERIES["gold"]).answer is True
 
-        # --- analysts select across the federation --------------------
-        qlist = compile_query('[//item[name = "gold-bar"]]')
-        selection = SelectionEngine(cluster).select(qlist)
-        assert len(selection.paths) == 1
-        assert selection.result.metrics.max_visits_per_site() <= 2
-
-        # --- consolidation: the department merges back ----------------
-        virtual = next(
-            n for n in cluster.fragment("F0").root.iter_subtree() if n.fragment_ref == "DEPT"
-        )
-        view.apply_merge("F0", virtual)
-        assert "DEPT" not in cluster.fragmented_tree.fragments
-        assert_consistent(cluster)
-        registry.recompute_from_scratch()
-        assert registry.answer("gold") is True
+            # --- consolidation: the department merges back ----------------
+            merged = book.apply([MergeFragment("F0", "DEPT")])
+            assert "DEPT" not in cluster.fragmented_tree.fragments
+            assert_consistent(cluster)
+            assert merged.changed == () and book.answer("gold") is True
+            assert book.answers() == book.recompute_from_scratch()
 
     def test_parbox_guarantees_hold_throughout(self, federation):
         cluster = federation

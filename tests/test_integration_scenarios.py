@@ -5,13 +5,14 @@ import pytest
 from repro.core import (
     ALL_ENGINES,
     ParBoXEngine,
+    QuerySession,
     SelectionEngine,
     evaluate_tree,
     select_centralized,
 )
 from repro.distsim import Cluster, NetworkModel
 from repro.fragments import Placement, fragment_at, fragment_balanced
-from repro.views import MaterializedView
+from repro.stream import Relabel
 from repro.workloads.portfolio import build_portfolio_cluster, build_portfolio_tree
 from repro.workloads.queries import seal_query
 from repro.workloads.topologies import chain_ft2
@@ -56,17 +57,17 @@ class TestQueryUpdateRequery:
     def test_portfolio_price_watch(self):
         cluster = build_portfolio_cluster()
         watch = compile_query('[//stock[code = "GOOG" and sell = "376"]]')
-        view = MaterializedView.create(cluster, watch)
-        assert view.ans is False
+        with QuerySession(cluster) as session:
+            view = session.watch([watch], names=["goog-376"])
+            assert view.answer("goog-376") is False
 
-        # NASDAQ raises the F2 GOOG sell price in two steps.
-        f2 = cluster.fragment("F2")
-        sell = next(n for n in f2.root.iter_subtree() if n.label == "sell")
-        sell.text = "375"
-        assert view.refresh_fragment("F2").answer_changed is False
-        sell.text = "376"
-        report = view.refresh_fragment("F2")
-        assert report.answer_changed and view.ans is True
+            # NASDAQ raises the F2 GOOG sell price in two steps.
+            f2 = cluster.fragment("F2")
+            sell = next(n for n in f2.root.iter_subtree() if n.label == "sell")
+            assert view.apply([Relabel("F2", sell.node_id, text="375")]).changed == ()
+            round_ = view.apply([Relabel("F2", sell.node_id, text="376")])
+            assert round_.changed == ("goog-376",)
+            assert view.answer("goog-376") is True
 
         # Fresh evaluations agree, for every engine.
         for engine_cls in ALL_ENGINES:

@@ -254,11 +254,12 @@ def test_plan_cache_hits_on_resends_and_reports_through_obs():
     assert sum(hits) == 4.0
 
 
-def test_plan_cache_is_bounded_lru():
+def test_plan_cache_is_bounded_lru(monkeypatch):
     cluster = _text_cluster()
     endpoints = {site: ("127.0.0.1", 1) for site in cluster.source_tree().sites()}
-    coordinator = Coordinator(cluster, endpoints, plan_cache_size=2)
     assert PLAN_CACHE_SIZE >= 2
+    monkeypatch.setattr("repro.serving.coordinator.PLAN_CACHE_SIZE", 2)
+    coordinator = Coordinator(cluster, endpoints)
     for text in ("[//a]", "[//b]", "[//c]"):
         coordinator._plan_for((text,))
     assert coordinator.plan_cache_stats()["entries"] == 2

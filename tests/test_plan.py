@@ -1,8 +1,13 @@
 """The batch planner: compilation cache, dedup, slicing, attribution."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.core.plan import (
+    QUERY_CACHE_SIZE,
     BatchPlan,
     QueryCache,
     attribute_costs,
@@ -11,7 +16,7 @@ from repro.core.plan import (
 )
 from repro.distsim.metrics import Metrics
 from repro.xpath import compile_query
-from repro.xpath.qlist import build_qlist, concatenate_qlists
+from repro.xpath.qlist import build_qlist
 from repro.workloads.queries import query_of_size
 
 
@@ -46,6 +51,55 @@ class TestQueryCache:
         assert a.qlist.entries != b.qlist.entries
         assert cache.misses == 2
 
+    def test_bounded_lru(self):
+        cap = QUERY_CACHE_SIZE
+        assert cap >= 1024  # a standing book's texts never evict each other
+        cache = QueryCache()
+        texts = [f"[//t{index}]" for index in range(cap + 1)]
+        first = cache.compile(texts[0])
+        for text in texts[1:cap]:
+            cache.compile(text)
+        assert cache.compile(texts[0]) is first  # a hit, and now the most recent
+        cache.compile(texts[cap])  # one over: evicts the least recent, texts[1]
+        assert len(cache) == cap
+        assert texts[1] not in cache and texts[0] in cache
+        assert (cache.hits, cache.misses) == (1, cap + 1)
+        # An evicted text simply compiles again, to an equal QList.
+        again = cache.compile(texts[1])
+        assert again.qlist.entries == compile_query(texts[1]).entries
+        assert (cache.hits, cache.misses) == (1, cap + 2)
+        assert len(cache) == cap
+
+    def test_concurrent_compiles_keep_bound_and_counts(self, monkeypatch):
+        # A coordinator's worker threads share one cache.
+        cap, workers, rounds = 8, 8, 300
+        monkeypatch.setattr("repro.core.plan.QUERY_CACHE_SIZE", cap)
+        cache = QueryCache()
+        texts = [f"[//t{index}]" for index in range(4 * cap)]
+        wrong = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(rounds):
+                text = rng.choice(texts)
+                if cache.compile(text).text != text:
+                    wrong.append(text)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong
+        assert len(cache) == cap
+        assert cache.hits + cache.misses == workers * rounds  # no lost update
+
 
 class TestPlanBatch:
     def test_empty_batch_rejected(self):
@@ -60,12 +114,32 @@ class TestPlanBatch:
         assert plan.segments == ((0, len(qlist)),)
         assert plan.unique_count == 1 and len(plan) == 1
 
-    def test_concatenation_matches_legacy_helper(self):
-        qlists = [query_of_size(2), query_of_size(8), query_of_size(15)]
-        plan = plan_batch(qlists)
-        legacy, legacy_answers = concatenate_qlists(qlists)
-        assert plan.combined.entries == legacy.entries
-        assert list(plan.answer_indices) == legacy_answers
+    def test_offsets_and_topology(self):
+        first = compile_query("[//a]")
+        second = compile_query("[//b and c]")
+        plan = plan_batch([first, second])
+        assert len(plan.combined) == len(first) + len(second)
+        assert plan.segments == ((0, len(first)), (len(first), len(second)))
+        assert plan.answer_indices == (
+            first.answer_index,
+            len(first) + second.answer_index,
+        )
+        for index, entry in enumerate(plan.combined):
+            assert all(arg < index for arg in entry.args)
+
+    def test_combined_evaluation_matches_individuals(self):
+        from repro.core import bottom_up, evaluate_tree
+        from repro.fragments import Fragment
+        from repro.workloads.portfolio import build_portfolio_tree
+
+        tree = build_portfolio_tree()
+        queries = [compile_query(q) for q in ("[//stock]", '[//code = "YHOO"]', "[//zzz]")]
+        plan = plan_batch(queries)
+        # Evaluate the combination once; read each query's answer entry.
+        triplet, _ = bottom_up(Fragment("W", tree.root), plan.combined)
+        for qlist, answer_index in zip(queries, plan.answer_indices):
+            expected, _ = evaluate_tree(tree, qlist)
+            assert triplet.v[answer_index].evaluate({}) == expected
 
     def test_combined_is_topologically_valid(self):
         plan = plan_batch([query_of_size(8), query_of_size(23), query_of_size(2)])

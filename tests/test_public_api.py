@@ -16,7 +16,11 @@ PACKAGES = [
     "repro.fragments",
     "repro.distsim",
     "repro.core",
-    "repro.views",
+    "repro.stream",
+    "repro.placement",
+    "repro.serving",
+    "repro.obs",
+    "repro.loadgen",
     "repro.workloads",
     "repro.bench",
 ]
@@ -70,8 +74,7 @@ class TestPublicClassesDocumentMethods:
             "repro.fragments.source_tree.SourceTree",
             "repro.distsim.cluster.Cluster",
             "repro.core.vectors.VectorTriplet",
-            "repro.views.materialized.MaterializedView",
-            "repro.views.registry.SubscriptionRegistry",
+            "repro.stream.maintainer.StreamMaintainer",
         ],
     )
     def test_public_methods_have_docstrings(self, cls_path):

@@ -1,21 +1,29 @@
 """Tests for the continuous-query maintenance runtime (stream/)."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.core import ENGINE_REGISTRY, ParBoXEngine, QuerySession
+from repro.core.engine import CONTROL_BYTES
 from repro.distsim.executors import ThreadSiteExecutor
 from repro.stream import (
     Changefeed,
     ChangeEvent,
+    DelNode,
     DirtyIndex,
     InsNode,
     MergeFragment,
     Relabel,
     SplitFragment,
     StreamMaintainer,
+    UpdateError,
 )
 from repro.workloads.portfolio import build_portfolio_cluster
-from repro.workloads.topologies import star_ft1
+from repro.workloads.queries import query_of_size, seal_query
+from repro.workloads.topologies import chain_ft2, star_ft1
 from repro.workloads.updates import update_stream
 from repro.xpath import compile_query
 
@@ -38,6 +46,18 @@ def _sell_node(cluster):
     return next(
         n for n in cluster.fragment("F2").root.iter_subtree() if n.label == "sell"
     )
+
+
+def _watch_one(cluster, query):
+    """A one-subscription book: the paper's single materialized view."""
+    maintainer = StreamMaintainer(cluster)
+    maintainer.subscribe("view", query)
+    return maintainer
+
+
+def _scratch(cluster, query):
+    """The expensive alternative: a fresh ParBoX evaluation."""
+    return ParBoXEngine(cluster).evaluate(compile_query(query)).answer
 
 
 class TestDirtyIndex:
@@ -161,6 +181,28 @@ class TestSubscribeUnsubscribe:
         with pytest.raises(ValueError):
             maintainer.subscribe("has-stock", "[//a]")
 
+    def test_unsubscribe_all_leaves_an_empty_book(self, cluster):
+        maintainer = _watch_one(cluster, "[//a]")
+        maintainer.unsubscribe("view")
+        assert len(maintainer) == 0
+        assert maintainer.plan() is None and maintainer.combined_size() == 0
+        # Nothing stands, so a refresh has no site to visit -- but the
+        # epoch still moves: other holders of F0 must not go stale.
+        epoch = cluster.fragment("F0").epoch
+        round_ = maintainer.refresh(["F0"])
+        assert round_.sites_visited == () and round_.traffic_bytes == 0
+        assert cluster.fragment("F0").epoch != epoch
+
+    def test_repeated_text_hits_compile_cache(self, cluster):
+        maintainer = _watch_one(cluster, "[//stock]")
+        maintainer.subscribe("twin", "[//stock]")
+        assert maintainer.cache.hits == 1 and maintainer.cache.misses == 1
+
+    def test_plan_exposes_segments(self, maintainer):
+        plan = maintainer.plan()
+        assert len(plan) == 3 and plan.unique_count == 3
+        assert len(plan.combined) == maintainer.combined_size()
+
 
 class TestRefresh:
     def test_update_flips_exactly_the_affected(self, cluster, maintainer):
@@ -180,8 +222,6 @@ class TestRefresh:
         assert round_.segments_resolved == 1
 
     def test_unchanged_refresh_ships_control_ack_only(self, cluster, maintainer):
-        from repro.core.engine import CONTROL_BYTES
-
         round_ = maintainer.refresh(["F2"])
         assert not round_.triplet_changed
         assert round_.changed == ()
@@ -247,8 +287,6 @@ class TestRefresh:
     def test_partial_batch_failure_still_refreshes_applied_ops(
         self, cluster, maintainer
     ):
-        from repro.stream import DelNode, UpdateError
-
         sell = _sell_node(cluster)
         good = Relabel("F2", sell.node_id, text="376")
         bad = DelNode("F2", 10**9)
@@ -259,6 +297,235 @@ class TestRefresh:
         assert maintainer.answer("goog-376") is True
         scratch = ParBoXEngine(cluster).evaluate_many(maintainer.plan()).answers
         assert tuple(maintainer.answers().values()) == scratch
+
+
+class TestSectionFive:
+    """The paper's Section 5 cases, one standing query at a time."""
+
+    def test_insert_flips_answer(self, cluster):
+        view = _watch_one(cluster, '[//code = "TSLA"]')
+        assert view.answer("view") is False
+        market = cluster.fragment("F3").root
+        view.apply([InsNode("F3", market.node_id, "stock")])
+        assert view.answer("view") is False
+        stock = market.children[-1]
+        round_ = view.apply([InsNode("F3", stock.node_id, "code", text="TSLA")])
+        assert round_.changed == ("view",) and round_.triplet_changed
+        assert view.answer("view") is True
+
+    def test_delete_flips_answer(self, cluster):
+        view = _watch_one(cluster, '[//code = "IBM"]')
+        assert view.answer("view") is True
+        ibm_stock = next(
+            n
+            for n in cluster.fragment("F0").root.iter_subtree()
+            if n.label == "code" and n.text == "IBM"
+        ).parent
+        round_ = view.apply([DelNode("F0", ibm_stock.node_id)])
+        assert round_.changed == ("view",)
+        assert view.answer("view") is False
+
+    def test_irrelevant_update_short_circuits(self, cluster):
+        view = _watch_one(cluster, '[//code = "GOOG"]')
+        root = cluster.fragment("F0").root
+        round_ = view.apply([InsNode("F0", root.node_id, "note", text="hi")])
+        assert not round_.triplet_changed and round_.changed == ()
+        assert round_.segments_resolved == 0  # evalST never re-ran
+
+    def test_insert_then_delete_round_trip(self, cluster, maintainer):
+        before = maintainer.answers()
+        root = cluster.fragment("F1").root
+        maintainer.apply([InsNode("F1", root.node_id, "stock")])
+        round_ = maintainer.apply([DelNode("F1", root.children[-1].node_id)])
+        assert maintainer.answers() == before
+        assert round_.changed == ()
+
+    def test_answer_always_matches_scratch(self, cluster):
+        query = '[//stock[code = "GOOG" and sell = "373"]]'
+        view = _watch_one(cluster, query)
+        assert view.answer("view") is _scratch(cluster, query) is True
+        f3 = cluster.fragment("F3")
+        goog_sell = next(
+            n for n in f3.root.iter_subtree() if n.label == "sell" and n.text == "373"
+        )
+        stock = goog_sell.parent
+        view.apply([DelNode("F3", goog_sell.node_id)])
+        assert view.answer("view") is _scratch(cluster, query) is False
+        view.apply([InsNode("F3", stock.node_id, "sell", text="373")])
+        assert view.answer("view") is _scratch(cluster, query) is True
+
+    def test_duplicates_flip_together(self, cluster):
+        maintainer = _watch_one(cluster, '[//code = "TSLA"]')
+        maintainer.subscribe("twin", '[//code = "TSLA"]')
+        stock = cluster.fragment("F2").root
+        round_ = maintainer.apply([InsNode("F2", stock.node_id, "code", text="TSLA")])
+        assert set(round_.changed) == {"view", "twin"}
+        assert round_.segments_resolved == 1  # one shared segment, one solve
+        assert maintainer.answers() == {"view": True, "twin": True}
+
+    def test_dirty_fragment_is_traversed_once_however_many_stand(self, cluster):
+        queries = ["[//stock]", "[//sell]", "[//buy]"]
+        separate = 0
+        for query in queries:
+            round_ = _watch_one(cluster, query).refresh(["F3"])
+            separate += round_.nodes_recomputed
+        shared = StreamMaintainer(cluster)
+        for index, query in enumerate(queries):
+            shared.subscribe(f"s{index}", query)
+        round_ = shared.refresh(["F3"])
+        # One pass over F3 only, whatever the subscription count.
+        assert round_.nodes_recomputed == cluster.fragment("F3").size()
+        assert round_.nodes_recomputed * len(queries) == separate
+        assert round_.sites_visited == ("S2",) and round_.is_localized()
+
+    def test_traffic_independent_of_data_size(self):
+        """Maintenance traffic must not grow with |T| (paper claim (b))."""
+        rounds = []
+        for scale in (1.0, 8.0):
+            cluster = star_ft1(4, scale, seed=50)
+            view = _watch_one(cluster, query_of_size(8))
+            root = cluster.fragment("F2").root
+            rounds.append(view.apply([InsNode("F2", root.node_id, "note", text="x")]))
+        small, large = rounds
+        assert large.nodes_recomputed > small.nodes_recomputed
+        assert large.traffic_bytes <= small.traffic_bytes * 1.5
+
+    def test_traffic_independent_of_update_size(self):
+        cluster = star_ft1(4, 2.0, seed=51)
+        view = _watch_one(cluster, query_of_size(8))
+        insert = InsNode("F2", cluster.fragment("F2").root.node_id, "note", text="x")
+        single = view.apply([insert])
+        bulk = view.apply([insert] * 200)
+        assert len(bulk.ops) == 200
+        assert bulk.traffic_bytes <= single.traffic_bytes * 1.5
+
+    def test_recomputation_localized_to_fragment(self):
+        cluster = star_ft1(4, 2.0, seed=52)
+        view = _watch_one(cluster, query_of_size(8))
+        round_ = view.refresh(["F3"])
+        assert round_.nodes_recomputed == cluster.fragment("F3").size()
+        assert round_.nodes_recomputed < cluster.total_size() / 2
+
+    def test_example_51_sequence(self, cluster):
+        """Example 5.1: insert a stock subtree, then split at the market."""
+        query = '[//stock[code = "HPQ2"]]'
+        view = _watch_one(cluster, query)
+        assert view.answer("view") is False
+        market = cluster.fragment("F0").root.children[0].find_by_label("market")[0]
+        view.apply([InsNode("F0", market.node_id, "stock")])
+        stock = market.children[-1]
+        view.apply([InsNode("F0", stock.node_id, "code", text="HPQ2")])
+        assert view.answer("view") is True
+        round_ = view.apply(
+            [SplitFragment("F0", market.node_id, "F4", target_site="S3")]
+        )
+        assert round_.structural and round_.changed == ()
+        assert round_.dirty_fragments == ("F0", "F4")
+        assert cluster.site_of("F4") == "S3"
+        # The carved-out market physically left S0 for the fresh site.
+        assert [(m.fragment_id, m.origin, m.target) for m in round_.migrations] == [
+            ("F4", "S0", "S3")
+        ]
+        assert view.answer("view") is _scratch(cluster, query) is True
+
+    def test_split_then_update_then_merge(self):
+        cluster = chain_ft2(3, 1.0, seed=53)
+        view = StreamMaintainer(cluster)
+        assert view.subscribe("view", seal_query("F2")) is True
+        # Split a subtree out of F1, update inside it, merge back.
+        candidate = next(
+            n
+            for n in cluster.fragment("F1").root.children
+            if not n.is_virtual and n.children
+        )
+        view.apply([SplitFragment("F1", candidate.node_id, "FX")])
+        fx_root = cluster.fragment("FX").root
+        view.apply([InsNode("FX", fx_root.node_id, "note", text="x")])
+        round_ = view.apply([MergeFragment("F1", "FX")])
+        assert "FX" not in cluster.fragmented_tree.fragments
+        assert round_.dirty_fragments == ("F1",)
+        oracle = ParBoXEngine(cluster).evaluate(seal_query("F2")).answer
+        assert view.answer("view") is oracle is True
+
+    def test_merge_of_a_non_sub_fragment_changes_nothing(self, cluster, maintainer):
+        # The paper's mergeFragments(v) on a non-virtual v is a no-op; the
+        # typed op names the child fragment, so "not a virtual node of
+        # F0" is an error that leaves document, epochs and book alone.
+        def epochs():
+            fragments = cluster.fragmented_tree.fragments
+            return {fid: fragment.epoch for fid, fragment in fragments.items()}
+
+        before, epochs_before = maintainer.answers(), epochs()
+        real = cluster.fragment("F0").root.children[0]
+        assert cluster.merge_fragment("F0", real) is None
+        with pytest.raises(UpdateError):
+            maintainer.apply([MergeFragment("F0", "F2")])  # F2 hangs under F1
+        assert maintainer.answers() == before
+        assert len(maintainer.changefeed) == 0
+        assert epochs() == epochs_before
+
+
+class TestEpochContract:
+    """Every change to a fragment moves its epoch, so an answer never
+    depends on the execution strategy that happens to hold a copy."""
+
+    EXECUTORS = ["serial", "threads", "process"]
+
+    @pytest.mark.parametrize("executor_name", EXECUTORS)
+    def test_typed_insert_reaches_resident_session(self, executor_name):
+        cluster = star_ft1(3, 0.5, seed=7, nodes_per_mb=24)
+        fragment = cluster.fragment("F1")
+        with QuerySession(cluster, executor=executor_name) as session:
+            # The session has answered: its executor holds F1 resident
+            # (and, under "process", a results memo for this query).
+            assert session.evaluate("[//zzz]").answer is False
+            handle = session.watch(["[//zzz]"], names=["zzz"])
+            epoch = fragment.epoch
+            round_ = handle.apply([InsNode("F1", fragment.root.node_id, "zzz")])
+            assert fragment.epoch != epoch
+            assert round_.changed == ("zzz",) and handle.answer("zzz") is True
+            assert session.evaluate("[//zzz]").answer is True
+
+    @pytest.mark.parametrize("executor_name", EXECUTORS)
+    def test_refresh_after_direct_edit_reaches_resident_session(self, executor_name):
+        cluster = star_ft1(3, 0.5, seed=7, nodes_per_mb=24)
+        fragment = cluster.fragment("F1")
+        query = '[//seal = "moved"]'
+        with QuerySession(cluster, executor=executor_name) as session:
+            assert session.evaluate(query).answer is False
+            handle = session.watch([query], names=["seal"])
+            epoch = fragment.epoch
+            fragment.root.find_first(lambda n: n.label == "seal").text = "moved"
+            round_ = handle.refresh(["F1"])
+            assert fragment.epoch != epoch
+            assert round_.changed == ("seal",) and handle.answer("seal") is True
+            assert session.evaluate(query).answer is True
+
+    def test_only_document_code_edits_trees(self):
+        """Nothing in the library attaches or detaches a node except the
+        tree/fragment layers themselves (``Fragment.apply_edit``, split,
+        merge -- each paired with an epoch bump by its caller), the
+        workload generators and the bench's document builder."""
+        root = pathlib.Path(repro.__file__).parent
+        builders = {("bench/experiments.py", "_deep_virtual_chain")}
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            relative = path.relative_to(root).as_posix()
+            if relative.split("/")[0] in ("xmltree", "fragments", "workloads"):
+                continue
+            tree = ast.parse(path.read_text())
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("add_child", "detach")
+                        and (relative, function.name) not in builders
+                    ):
+                        offenders.append(f"{relative}:{node.lineno} in {function.name}()")
+        assert not offenders, offenders
 
 
 class TestWatchAPI:
