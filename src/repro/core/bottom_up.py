@@ -27,17 +27,29 @@ over all *n* entries, the leaf cases (``ε`` / ``label()`` / ``text()``)
 resolve through three precompiled per-payload masks with no per-entry
 dispatch at all, and only the entries that reference earlier entries
 run -- as a straight-line function generated once per QList with every
-opcode and operand specialized away.  The whole pass is one store-free
-frame traversal (:func:`_frame_bottom_up`): accumulators stay bitmasks
-until the first virtual node folds in, then *upgrade* to formula lists,
-so the algebra runs exactly on the root-to-virtual-node paths and
-ground child subtrees fold in as constant bits.  (The centralized
-evaluator runs the same pass; there an upgrade is an error.)  The
-*formula kernel* -- ``kernel="formula"`` -- is the classic
-algebra-everywhere path.  Both kernels produce bitwise-identical
-triplets under either composition algebra, because every algebra folds
-constants the same way -- checked exhaustively by
-``tests/test_hotpath_kernel.py``.
+opcode and operand specialized away.  For tree callers (serial and
+thread executors, the centralized evaluator) the whole pass is one
+store-free frame traversal (:func:`_frame_bottom_up`): accumulators stay
+bitmasks until the first virtual node folds in, then *upgrade* to
+formula lists, so the algebra runs exactly on the root-to-virtual-node
+paths and ground child subtrees fold in as constant bits.  (In the
+centralized evaluator an upgrade is an error.)  The *formula kernel* --
+``kernel="formula"`` -- is the classic algebra-everywhere path.  Both
+kernels produce bitwise-identical triplets under either composition
+algebra, because every algebra folds constants the same way -- checked
+exhaustively by ``tests/test_hotpath_kernel.py``.
+
+**Resident holders** evaluate a linearization instead of the tree
+(:class:`GroundLinear`, :func:`site_bottom_up`): postorder arrays over
+every node, virtual leaves included.  The ground nodes go through a
+levelized multi-lane pass (:func:`_lane_pass`), the *open spine* -- the
+at most depth x card(F_j) nodes above a virtual leaf -- is then
+completed over formulas from the masks the ground pass left on it
+(:func:`_open_pass`), sharing lines 6-17 with the two kernels above.  A
+copy that has been patched keeps every node's ``V`` / ``DV`` per query
+and pays, after an edit, for the edited node's root path only
+(:func:`_spine_pass`): a subtree's partial answer is as much a function
+of its content alone as a fragment's triplet is.
 
 The traversal is iterative (explicit post-order), so arbitrarily deep
 fragments do not hit the Python recursion limit, and keeps only the
@@ -49,6 +61,7 @@ algorithm, not the kernel, and is identical on both paths.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -232,6 +245,27 @@ def _virtual_vectors(
     return cached
 
 
+def _virtual_union(var_cache: dict, owners: tuple, n: int) -> tuple[tuple, tuple]:
+    """Sibling virtual nodes' ``V`` / ``DV`` vectors OR-ed entry by entry
+    under the canonical algebra, interned per group of owners.
+
+    Canonical disjunction is associative, commutative and flattening,
+    so folding this one vector interns to the same formulas as folding
+    the siblings one by one, in any order and among any other children
+    -- in O(card) operand visits per entry once, not O(card^2) per pass.
+    """
+    if len(owners) == 1:
+        return _virtual_vectors(var_cache, owners[0], n)
+    cached = var_cache.get(owners)
+    if cached is None:
+        vectors = [_virtual_vectors(var_cache, owner, n) for owner in owners]
+        cached = var_cache[owners] = tuple(
+            tuple(make_or(*(vector[kind][i] for vector in vectors)) for i in range(n))
+            for kind in (0, 1)
+        )
+    return cached
+
+
 def _mask_to_formulas(mask: int, n: int) -> list:
     """Expand a result bitmask into the TRUE/FALSE entry list."""
     return [TRUE if mask >> i & 1 else FALSE for i in range(n)]
@@ -270,6 +304,51 @@ def _fold_masks_into_lists(cv: list, dv: list, v_mask: int, dv_mask: int) -> Non
         mask ^= low
 
 
+def _fold_formulas(cv: list, dv: list, child_v, child_dv, or_) -> None:
+    """Lines 1-5 for one child: OR its ``V`` into ``cv``, its ``DV`` into ``dv``."""
+    for i, value in enumerate(child_v):
+        if value is not FALSE:
+            current = cv[i]
+            cv[i] = value if current is FALSE else or_(current, value)
+        value = child_dv[i]
+        if value is not FALSE:
+            current = dv[i]
+            dv[i] = value if current is FALSE else or_(current, value)
+
+
+def _complete_formulas(entries, label, text, cv: list, dv: list, algebra) -> list:
+    """Lines 6-17 on formula lists: the node's ``V`` from its folded
+    ``cv``/``dv``; ``dv`` becomes the node's ``DV`` in place."""
+    or_ = algebra.or_
+    and_ = algebra.and_
+    not_ = algebra.not_
+    v = [FALSE] * len(entries)
+    for i, (opcode, arg0, arg1, payload) in enumerate(entries):
+        if opcode == _SELFQ:
+            value = v[arg0]
+        elif opcode == _CHILD:
+            value = cv[arg0]
+        elif opcode == _DESC:
+            value = dv[arg0]
+        elif opcode == _LABEL:
+            value = TRUE if label == payload else FALSE
+        elif opcode == _TEXT:
+            value = TRUE if text == payload else FALSE
+        elif opcode == _AND or opcode == _SELFSEQ:
+            value = and_(v[arg0], v[arg1])
+        elif opcode == _OR:
+            value = or_(v[arg0], v[arg1])
+        elif opcode == _NOT:
+            value = not_(v[arg0])
+        else:  # _EPS
+            value = TRUE
+        v[i] = value
+        if value is not FALSE:  # line 17: DV := V or DV
+            current = dv[i]
+            dv[i] = value if current is FALSE else or_(value, current)
+    return v
+
+
 def _frame_bottom_up(root, program: tuple, entries, n: int, algebra) -> tuple:
     """The auto kernel: one frame-stack pass, bitset until proven virtual.
 
@@ -294,8 +373,6 @@ def _frame_bottom_up(root, program: tuple, entries, n: int, algebra) -> tuple:
     """
     eps_mask, label_masks, text_masks, bit_kernel, leaf_memo, var_cache = program
     or_ = algebra.or_
-    and_ = algebra.and_
-    not_ = algebra.not_
     defer_virtuals = type(algebra) is CanonicalAlgebra
     nodes_visited = 0
     # frame: [node, next_child_index, cv, dv, deferred_virtual_owners]
@@ -318,16 +395,10 @@ def _frame_bottom_up(root, program: tuple, entries, n: int, algebra) -> tuple:
                         owners.append(owner)
                     continue
                 # Non-canonical algebra: fold the virtual leaf's free
-                # variables eagerly, in child order (they are never
-                # FALSE, so every entry participates).
-                cv, dv = _upgrade_frame(frame, n)
-                for i in range(n):
-                    value = Var(owner, "V", i)
-                    current = cv[i]
-                    cv[i] = value if current is FALSE else or_(current, value)
-                    value = Var(owner, "DV", i)
-                    current = dv[i]
-                    dv[i] = value if current is FALSE else or_(current, value)
+                # variables eagerly, in child order.
+                _fold_formulas(
+                    *_upgrade_frame(frame, n), *_virtual_vectors(var_cache, owner, n), or_
+                )
                 continue
             if child.children:
                 stack.append([child, 0, 0, 0, None])
@@ -357,16 +428,12 @@ def _frame_bottom_up(root, program: tuple, entries, n: int, algebra) -> tuple:
         dv = frame[3]
         owners = frame[4]
         if owners is not None:
-            # Deferred virtual folds (canonical algebra): one n-ary
-            # disjunction per entry instead of a pairwise chain --
-            # O(card) instead of O(card^2) operand visits.
+            # Deferred virtual folds (canonical algebra): the siblings'
+            # interned disjunction instead of a pairwise chain.
             if type(cv) is int:
                 cv = _mask_to_formulas(cv, n)
                 dv = _mask_to_formulas(dv, n)
-            vectors = [_virtual_vectors(var_cache, owner, n) for owner in owners]
-            for i in range(n):
-                cv[i] = make_or(cv[i], *(vec[0][i] for vec in vectors))
-                dv[i] = make_or(dv[i], *(vec[1][i] for vec in vectors))
+            _fold_formulas(cv, dv, *_virtual_union(var_cache, tuple(owners), n), or_)
         if type(cv) is int:
             base = eps_mask | label_masks.get(node.label, 0)
             text = node.text
@@ -386,46 +453,10 @@ def _frame_bottom_up(root, program: tuple, entries, n: int, algebra) -> tuple:
             continue
 
         # Formula completion: lines 6-17, classic case analysis.
-        v = [FALSE] * n
-        label = node.label
-        text = node.text
-        for i in range(n):
-            opcode, arg0, arg1, payload = entries[i]
-            if opcode == _SELFQ:
-                value = v[arg0]
-            elif opcode == _CHILD:
-                value = cv[arg0]
-            elif opcode == _DESC:
-                value = dv[arg0]
-            elif opcode == _LABEL:
-                value = TRUE if label == payload else FALSE
-            elif opcode == _TEXT:
-                value = TRUE if text == payload else FALSE
-            elif opcode == _AND or opcode == _SELFSEQ:
-                value = and_(v[arg0], v[arg1])
-            elif opcode == _OR:
-                value = or_(v[arg0], v[arg1])
-            elif opcode == _NOT:
-                value = not_(v[arg0])
-            else:  # _EPS
-                value = TRUE
-            v[i] = value
-            if value is not FALSE:  # line 17: DV := V or DV
-                current = dv[i]
-                dv[i] = value if current is FALSE else or_(value, current)
+        v = _complete_formulas(entries, node.label, node.text, cv, dv, algebra)
         if not stack:
             return (v, cv, dv), nodes_visited
-        parent = stack[-1]
-        parent_cv, parent_dv = _upgrade_frame(parent, n)
-        for i in range(n):
-            value = v[i]
-            if value is not FALSE:
-                current = parent_cv[i]
-                parent_cv[i] = value if current is FALSE else or_(current, value)
-            value = dv[i]
-            if value is not FALSE:
-                current = parent_dv[i]
-                parent_dv[i] = value if current is FALSE else or_(current, value)
+        _fold_formulas(*_upgrade_frame(stack[-1], n), v, dv, or_)
     raise AssertionError("unreachable: the root frame always returns")
 
 
@@ -471,8 +502,6 @@ def bottom_up(
     # kernel == "formula": the classic store-based traversal, formula
     # algebra on every node -- the agreement oracle and perf baseline.
     or_ = algebra.or_
-    and_ = algebra.and_
-    not_ = algebra.not_
     nodes_visited = 0
     # node_id -> (V, DV) of completed subtrees not yet folded into a parent.
     store: dict[int, tuple[list, list]] = {}
@@ -492,44 +521,9 @@ def bottom_up(
         cv = [FALSE] * n
         dv = [FALSE] * n
         for child in node.children:  # lines 1-5: fold children
-            child_v, child_dv = store.pop(child.node_id)
-            for i in range(n):
-                value = child_v[i]
-                if value is not FALSE:
-                    current = cv[i]
-                    cv[i] = value if current is FALSE else or_(current, value)
-                value = child_dv[i]
-                if value is not FALSE:
-                    current = dv[i]
-                    dv[i] = value if current is FALSE else or_(current, value)
-
-        v = [FALSE] * n
-        label = node.label
-        text = node.text
-        for i in range(n):  # lines 6-17: case analysis per sub-query
-            opcode, arg0, arg1, payload = entries[i]
-            if opcode == _SELFQ:
-                value = v[arg0]
-            elif opcode == _CHILD:
-                value = cv[arg0]
-            elif opcode == _DESC:
-                value = dv[arg0]
-            elif opcode == _LABEL:
-                value = TRUE if label == payload else FALSE
-            elif opcode == _TEXT:
-                value = TRUE if text == payload else FALSE
-            elif opcode == _AND or opcode == _SELFSEQ:
-                value = and_(v[arg0], v[arg1])
-            elif opcode == _OR:
-                value = or_(v[arg0], v[arg1])
-            elif opcode == _NOT:
-                value = not_(v[arg0])
-            else:  # _EPS
-                value = TRUE
-            v[i] = value
-            if value is not FALSE:  # line 17: DV := V or DV
-                current = dv[i]
-                dv[i] = value if current is FALSE else or_(value, current)
+            _fold_formulas(cv, dv, *store.pop(child.node_id), or_)
+        # lines 6-17: case analysis per sub-query
+        v = _complete_formulas(entries, node.label, node.text, cv, dv, algebra)
         store[node.node_id] = (v, dv)
         if node is root:
             root_cv = cv
@@ -612,50 +606,111 @@ def _lane_program(qlist: QList, entries):
 
 
 class GroundLinear:
-    """A fully-ground fragment linearized for the site-vectorized pass.
+    """A fragment linearized for the site-vectorized pass.
 
-    Postorder arrays (``parents[i]`` is the postorder index of node
-    *i*'s parent, ``-1`` for the root) plus a levelization by height:
-    all nodes of one height have no dependencies among themselves, so
-    an entire level can be evaluated in one multi-lane kernel call.
-    ``bases`` caches, per QList, each node's precomputed leaf-entry
-    mask -- the only part of the pass that looks at labels/texts -- so
-    resident holders re-evaluate a fragment without touching the tree.
+    Postorder arrays over *every* node, virtual leaves included, so an
+    index here is :meth:`Fragment.locate`'s postorder position
+    (``parents[i]`` is the index of node *i*'s parent, ``-1`` for the
+    root).  ``owners`` maps each virtual leaf's index to the fragment
+    it stands for; the nodes above one form the **open spine**
+    (``open``: node -> its virtual or open children, both ascending),
+    at most depth x card(F_j) of them, whose vectors are formulas.
+    Everything else is *ground* and levelized by height: the nodes of
+    one height have no dependencies among themselves, so an entire
+    level is one multi-lane kernel call.  ``sizes[i]`` is the length of
+    node *i*'s subtree, the postorder range ending at *i* (so its last
+    child is ``i - 1`` and each child's subtree ends where the next
+    one's begins); ``size`` counts what ``bottomUp`` visits, the
+    non-virtual nodes.  ``bases`` caches, per QList, each node's
+    precomputed leaf-entry mask -- the only part of the pass that looks
+    at labels/texts -- so resident holders re-evaluate a fragment
+    without touching the tree.
 
     A content edit is spliced in place (:meth:`relabel`,
     :meth:`insert_leaf`, :meth:`delete_subtree`, then one
     :meth:`relevel` per batch of edits): the arrays and every cached
-    ``bases`` list change only at the touched postorder range, so the
-    per-query base caches survive an update.  A content edit cannot
-    make a ground fragment virtual or the reverse, so the linearization
-    never has to be dropped for one.
+    per-query list change only at the touched postorder range.  A
+    content edit never adds, removes or re-owns a virtual leaf, so the
+    linearization never has to be dropped for one.
+
+    Once a copy has been spliced it is worth remembering what its
+    nodes evaluated to: ``vectors`` then keeps, per QList, each ground
+    node's ``V`` / ``DV`` masks (for an open node the masks its ground
+    children folded to) and a ``stale`` flag per node.  An edit flags
+    its node-to-root path, and the next pass for that QList recomputes
+    the flagged nodes only (:func:`_spine_pass`).  ``vectors`` lives and
+    dies with ``bases``; ``work`` tallies the nodes really evaluated, by
+    mode, and a holder shares one tally among its linearizations.
     """
 
-    __slots__ = ("parents", "levels", "labels", "texts", "size", "bases")
+    __slots__ = (
+        "parents", "levels", "labels", "texts", "owners", "open", "size",
+        "sizes", "bases", "vectors", "spliced", "work",
+    )  # fmt: skip
 
-    def __init__(self, parents, levels, labels, texts):
+    def __init__(self, parents, labels, texts, owners):
         self.parents = parents
-        self.levels = levels
         self.labels = labels
         self.texts = texts
-        self.size = len(parents)
+        self.owners = owners
         self.bases: dict = {}
+        self.vectors: dict = {}
+        self.spliced = False
+        self.work = {"full": 0, "spine": 0, "open": 0}
+        self.relevel()
 
     def relevel(self) -> None:
-        """Rebuild ``levels`` (and ``size``) from ``parents`` after a
-        splice, in one integer pass."""
+        """Rebuild what depends on the tree's shape -- ``levels``,
+        ``sizes``, ``open``, ``size`` -- from ``parents`` and
+        ``owners``: the one hook to call after a batch of splices."""
         parents = self.parents
         heights = [0] * len(parents)
+        sizes = [1] * len(parents)
         for index, parent in enumerate(parents):
             # Postorder: a node's children all precede it, so its own
-            # height is final by the time it lifts its parent's.
-            if parent >= 0 and heights[index] >= heights[parent]:
-                heights[parent] = heights[index] + 1
+            # height and size are final by the time it lifts its parent's.
+            if parent >= 0:
+                sizes[parent] += sizes[index]
+                if heights[index] >= heights[parent]:
+                    heights[parent] = heights[index] + 1
         levels: list[list[int]] = [[] for _ in range(heights[-1] + 1)]
         for index, height in enumerate(heights):
             levels[height].append(index)
+        spine: dict[int, list[int]] = {}
+        for child in self.owners:  # ascending, so every child list is too
+            parent = parents[child]
+            while parent >= 0:
+                if parent in spine:
+                    spine[parent].append(child)
+                    break
+                spine[parent] = [child]
+                child, parent = parent, parents[parent]
+        # A ground node's height counts ground nodes only: taking the
+        # others out leaves it on its level.
+        for index in itertools.chain(spine, self.owners):
+            levels[heights[index]].remove(index)
         self.levels = levels
-        self.size = len(parents)
+        self.sizes = sizes
+        self.open = dict(sorted(spine.items()))
+        self.size = len(parents) - len(self.owners)
+
+    def _touch(self, index: int) -> None:
+        """An edit landed at node ``index``: the copy counts as spliced
+        from now on, and the path from there to the root is stale in
+        every retained QList (flags are upward closed, so stop at the
+        first one found set)."""
+        self.spliced = True
+        parents = self.parents
+        for _v, _dv, stale in self.vectors.values():
+            node = index
+            while node >= 0 and not stale[node]:
+                stale[node] = 1
+                node = parents[node]
+
+    def forget(self, qlist: QList) -> None:
+        """Drop everything cached for ``qlist``."""
+        self.bases.pop(qlist, None)
+        self.vectors.pop(qlist, None)
 
     def relabel(self, index: int, label: str, text: Optional[str]) -> None:
         """Node ``index`` now carries ``label``/``text``."""
@@ -663,6 +718,7 @@ class GroundLinear:
         self.texts[index] = text
         for qlist, bases in self.bases.items():
             bases[index] = _node_base(qlist, label, text)
+        self._touch(index)
 
     def insert_leaf(self, index: int, label: str, text: Optional[str]) -> None:
         """A fresh last child under the node at ``index``.
@@ -674,56 +730,59 @@ class GroundLinear:
         self.parents.insert(index, index + 1)
         self.labels.insert(index, label)
         self.texts.insert(index, text)
+        self.owners = {i + 1 if i >= index else i: o for i, o in self.owners.items()}
         for qlist, bases in self.bases.items():
             bases.insert(index, _node_base(qlist, label, text))
+        for arrays in self.vectors.values():
+            for array in arrays:
+                array.insert(index, 0)
+        self._touch(index)
 
     def delete_subtree(self, index: int, size: int) -> None:
-        """Drop the ``size``-node subtree rooted at ``index``.
+        """Drop the ``size``-node ground subtree rooted at ``index``.
 
         A subtree is the contiguous postorder range ending at its
         root; only nodes after it can have a parent that moves.
         """
         start = index - size + 1
+        parent = self.parents[index] - size
         del self.parents[start : index + 1]
         self.parents[:] = [p - size if p > index else p for p in self.parents]
         del self.labels[start : index + 1]
         del self.texts[start : index + 1]
+        self.owners = {i - size if i > index else i: o for i, o in self.owners.items()}
         for bases in self.bases.values():
             del bases[start : index + 1]
+        for arrays in self.vectors.values():
+            for array in arrays:
+                del array[start : index + 1]
+        self._touch(parent)
 
 
-def linearize_ground(fragment: Fragment) -> Optional[GroundLinear]:
-    """Linearize a fragment for :func:`site_bottom_up`.
-
-    Returns ``None`` when the fragment holds a virtual node (such
-    fragments take the per-fragment upgrade path instead).
-    """
+def linearize(fragment: Fragment) -> GroundLinear:
+    """Linearize a fragment for :func:`site_bottom_up`."""
     index_of: dict[int, int] = {}
     parents: list[int] = []
     labels: list[str] = []
     texts: list[Optional[str]] = []
-    heights: list[int] = []
+    owners: dict[int, str] = {}
     for node in fragment.root.iter_postorder():
-        if node.is_virtual:
-            return None
         index = len(parents)
         index_of[id(node)] = index
         parents.append(-1)
         labels.append(node.label)
         texts.append(node.text)
-        height = 0
+        if node.fragment_ref is not None:
+            owners[index] = node.fragment_ref
         for child in node.children:
-            child_index = index_of[id(child)]
-            parents[child_index] = index
-            child_height = heights[child_index] + 1
-            if child_height > height:
-                height = child_height
-        heights.append(height)
-    # Postorder yields the root last; its height bounds every node's.
-    levels: list[list[int]] = [[] for _ in range(heights[-1] + 1)]
-    for index, height in enumerate(heights):
-        levels[height].append(index)
-    return GroundLinear(parents, levels, labels, texts)
+            parents[index_of[id(child)]] = index
+    return GroundLinear(parents, labels, texts, owners)
+
+
+def linearize_ground(fragment: Fragment) -> Optional[GroundLinear]:
+    """:func:`linearize`, but ``None`` when the fragment holds a virtual node."""
+    linear = linearize(fragment)
+    return None if linear.owners else linear
 
 
 def _node_base(qlist: QList, label: str, text: Optional[str]) -> int:
@@ -762,23 +821,25 @@ def _linear_bases(linear: GroundLinear, program: tuple, qlist: QList) -> list[in
 
 def _lane_pass(
     linear: GroundLinear, program: tuple, lane_kernel, n: int, qlist: QList
-) -> tuple[int, int, int]:
-    """Levelized multi-lane evaluation of one linearized ground fragment.
+) -> tuple[list[int], list[int], int]:
+    """Levelized multi-lane evaluation of a linearized fragment's ground nodes.
 
     Height-0 nodes resolve through the shared leaf memo (one dict hit
     beats a lane gather/scatter); every higher level is evaluated in
     ``ceil(level_size / width)`` multi-lane kernel calls, folding each
     node's ``V``/``DV`` into its parent's accumulators on scatter.
-    Returns the root's ``(V, CV, DV)`` masks, bit-identical to
-    :func:`_frame_bottom_up` on the same fragment.
+    Returns per-node ``V`` and ``DV`` masks as ``GroundLinear.vectors``
+    keeps them (an open node's slots hold what its ground children
+    folded to) and the root's ``CV`` -- for a ground fragment
+    bit-identical to :func:`_frame_bottom_up` on the same tree.
     """
     _eps, _labels, _texts, kernel, leaf_memo, _var_cache = program
     bases = _linear_bases(linear, program, qlist)
     parents = linear.parents
-    size = linear.size
-    cv = [0] * size
-    dv = [0] * size
-    root_v = 0
+    count = len(parents)
+    vs = [0] * count
+    cv = [0] * count
+    dv = [0] * count
     memo_get = leaf_memo.get
     for index in linear.levels[0]:
         base = bases[index]
@@ -786,12 +847,11 @@ def _lane_pass(
         if v is None:
             v = kernel(0, 0, base)
             leaf_memo[base] = v
+        vs[index] = dv[index] = v  # a leaf's DV equals its V
         parent = parents[index]
         if parent >= 0:
             cv[parent] |= v
-            dv[parent] |= v  # a leaf's DV equals its V
-        else:
-            root_v = v  # single-node fragment
+            dv[parent] |= v
     width = max(1, LANE_BITS // n) if n else 1
     entry_mask = (1 << n) - 1
     for level in linear.levels[1:]:
@@ -811,16 +871,89 @@ def _lane_pass(
             v_packed = lane_kernel(cv_packed, dv_packed, base_packed, lanes)
             shift = 0
             for index in chunk:
-                v = (v_packed >> shift) & entry_mask
+                vs[index] = v = (v_packed >> shift) & entry_mask
+                dv[index] = node_dv = dv[index] | v  # line 17
                 parent = parents[index]
                 if parent >= 0:
                     cv[parent] |= v
-                    dv[parent] |= dv[index] | v  # fold DV := DV|V upward
-                else:
-                    root_v = v
+                    dv[parent] |= node_dv
                 shift += n
-    root = size - 1  # postorder: the root is always last
-    return root_v, cv[root], dv[root] | root_v
+    for index in linear.open:
+        vs[index] = cv[index]
+    linear.work["full"] += linear.size - len(linear.open)
+    return vs, dv, cv[-1]  # postorder: the root is always last
+
+
+def _spine_pass(linear: GroundLinear, program: tuple, qlist: QList, kept: tuple) -> int:
+    """Bring one QList's retained vectors up to date: recompute the
+    stale nodes only, children first, with the scalar generated kernel
+    over what their (ground) children hold.  Returns the root's ``CV``,
+    which is not retained -- so the root is always refolded."""
+    kernel = program[3]
+    bases = _linear_bases(linear, program, qlist)
+    vs, dv, stale = kept
+    sizes = linear.sizes
+    open_ = linear.open
+    stale[-1] = 1
+    evaluated = 0
+    index = stale.find(1)
+    while index >= 0:
+        cv_mask = dv_mask = 0
+        child, first = index - 1, index - sizes[index] + 1
+        while child >= first:
+            if child not in open_:  # (a virtual leaf's slots stay 0)
+                cv_mask |= vs[child]
+                dv_mask |= dv[child]
+            child -= sizes[child]
+        if index in open_:
+            vs[index], dv[index] = cv_mask, dv_mask
+        else:
+            vs[index] = v = kernel(cv_mask, dv_mask, bases[index])
+            dv[index] = dv_mask | v
+            evaluated += 1
+        stale[index] = 0
+        index = stale.find(1, index + 1)
+    linear.work["spine"] += evaluated
+    return cv_mask
+
+
+def _open_pass(linear: GroundLinear, program: tuple, entries, algebra, vs, dv) -> tuple:
+    """Complete the open spine symbolically; the root's ``(V, CV, DV)``.
+
+    Each open node starts from the masks its ground children folded to
+    and folds its virtual and open children in child order.  That is
+    the classic fold in *any* interleaving with the ground children: a
+    ground child contributes an absorbing TRUE or nothing, so only the
+    order among open children is observable -- and not even that under
+    the canonical algebra, which takes sibling virtual leaves as one.
+    """
+    n = len(entries)
+    var_cache = program[5]
+    owners = linear.owners
+    or_ = algebra.or_
+    canonical = type(algebra) is CanonicalAlgebra
+    done: dict[int, tuple] = {}
+    for node, kids in linear.open.items():
+        node_cv = _mask_to_formulas(vs[node], n)
+        node_dv = _mask_to_formulas(dv[node], n)
+        if canonical:
+            vectors = [done.pop(kid) for kid in kids if kid not in owners]
+            virtual = tuple(owners[kid] for kid in kids if kid in owners)
+            if virtual:
+                vectors.append(_virtual_union(var_cache, virtual, n))
+        else:
+            vectors = [
+                _virtual_vectors(var_cache, owners[kid], n) if kid in owners else done.pop(kid)
+                for kid in kids
+            ]
+        for kid_v, kid_dv in vectors:
+            _fold_formulas(node_cv, node_dv, kid_v, kid_dv, or_)
+        node_v = _complete_formulas(
+            entries, linear.labels[node], linear.texts[node], node_cv, node_dv, algebra
+        )
+        done[node] = (node_v, node_dv)
+    linear.work["open"] += len(linear.open)
+    return node_v, node_cv, node_dv  # postorder: the root is the last open node
 
 
 def site_bottom_up(
@@ -831,16 +964,21 @@ def site_bottom_up(
     """Evaluate all of one site's resident fragments in one vectorized pass.
 
     ``residents`` is a sequence of ``(fragment, linear)`` pairs, where
-    ``linear`` is :func:`linearize_ground`'s result (``None`` for
-    fragments holding virtual nodes).  Ground fragments -- the common
-    case by far -- share one compiled program, one leaf memo and one
-    multi-lane kernel, so a site holding *k* co-located fragments pays
-    one kernel invocation per packed level chunk rather than one full
-    traversal per fragment; virtual-node fragments fall back to the
-    per-fragment upgrade path unchanged.  Returns ``[(triplet,
-    nodes_visited), ...]`` in input order, bitwise identical to calling
-    :func:`bottom_up` per fragment -- same triplets, same deterministic
-    ledger (``qlist_ops`` remains ``nodes_visited * n`` by definition).
+    ``linear`` is :func:`linearize`'s result.  All fragments share one
+    compiled program, one leaf memo and one multi-lane kernel, so a
+    site holding *k* co-located fragments pays one kernel invocation
+    per packed level chunk rather than one full traversal per fragment.
+    Ground nodes are evaluated as bitmasks -- all of them by
+    :func:`_lane_pass`, or, on a linearization that has been spliced
+    and already answered ``qlist``, the edited spines only
+    (:func:`_spine_pass`) -- and the open spine of a fragment holding
+    virtual nodes is then completed over formulas.  Returns
+    ``[(triplet, nodes_visited), ...]`` in input order, bitwise
+    identical to calling :func:`bottom_up` per fragment -- same
+    triplets, same deterministic ledger: ``nodes_visited`` is
+    ``bottomUp``'s algorithmic cost for (fragment, query), not work
+    performed (``linear.work`` has that), and ``qlist_ops`` remains
+    ``nodes_visited * n`` by definition.
     """
     algebra = algebra or DEFAULT_ALGEBRA
     results: list[tuple[VectorTriplet, int]] = []
@@ -849,18 +987,19 @@ def site_bottom_up(
     program = _ground_program(qlist, entries)
     lane_kernel = _lane_program(qlist, entries)
     for fragment, linear in residents:
-        if linear is None:
-            triplet, stats = bottom_up(fragment, qlist, algebra, "auto")
-            results.append((triplet, stats.nodes_visited))
-            continue
-        root_v, root_cv, root_dv = _lane_pass(linear, program, lane_kernel, n, qlist)
-        triplet = VectorTriplet(
-            fragment.fragment_id,
-            _mask_to_formulas(root_v, n),
-            _mask_to_formulas(root_cv, n),
-            _mask_to_formulas(root_dv, n),
-        )
-        results.append((triplet, linear.size))
+        kept = linear.vectors.get(qlist)
+        if kept is not None:
+            vs, dv = kept[:2]
+            root_cv = _spine_pass(linear, program, qlist, kept)
+        else:
+            vs, dv, root_cv = _lane_pass(linear, program, lane_kernel, n, qlist)
+            if linear.spliced:
+                linear.vectors[qlist] = (vs, dv, bytearray(len(vs)))
+        if linear.open:
+            root = _open_pass(linear, program, entries, algebra, vs, dv)
+        else:
+            root = (_mask_to_formulas(mask, n) for mask in (vs[-1], root_cv, dv[-1]))
+        results.append((VectorTriplet(fragment.fragment_id, *root), linear.size))
     return results
 
 
@@ -871,6 +1010,7 @@ __all__ = [
     "DEFAULT_KERNEL",
     "GroundLinear",
     "LANE_BITS",
+    "linearize",
     "linearize_ground",
     "site_bottom_up",
 ]

@@ -170,15 +170,20 @@ class VectorTriplet:
         sub-fragment variables) of their own segment, the slice equals
         what ``bottomUp`` would have produced for that segment's
         standalone QList -- the identity the stream maintainer's
-        per-segment caches are built on.
+        per-segment caches are built on.  A ground triplet has no
+        variable to re-base: its slice is the plain slice, known ground.
         """
         stop = offset + length
-        return VectorTriplet(
+        piece = VectorTriplet(
             self.fragment_id,
             self.v[offset:stop],
             self.cv[offset:stop],
             self.dv[offset:stop],
-        ).shifted(-offset)
+        )
+        if self.is_ground():
+            piece._variable_count = 0
+            return piece
+        return piece.shifted(-offset)
 
     # ------------------------------------------------------------------
     # Wire format

@@ -126,6 +126,9 @@ class SiteJob:
 class FragmentOutcome:
     """The partial answer of one fragment plus its deterministic costs.
 
+    ``nodes_visited`` is ``bottomUp``'s algorithmic cost for (fragment,
+    query), not work performed (a resident holder may have answered
+    from its memo, or recomputed an edited spine only).
     ``segment_ops`` attributes ``qlist_ops`` to the batch's unique
     queries (one count per :attr:`SiteJob.segments` span); empty for
     unbatched jobs.
@@ -370,7 +373,9 @@ def _resident_worker_main(conn) -> None:
       tolerantly, so either end may predate the field);
     * ``("stats",)`` -- residency introspection for tests/leak checks,
       with ``result_hits`` / ``result_misses``: per-fragment results
-      served from a resident copy's memo vs evaluated;
+      served from a resident copy's memo vs evaluated, and
+      ``kernel_nodes``: nodes really evaluated, by mode
+      (:attr:`ResidentSiteState.kernel_nodes`);
     * ``("stop",)`` -- exit (never batched with other messages).
     """
     from repro.core.vectors import compact_with_buffers
@@ -435,6 +440,7 @@ def _resident_worker_main(conn) -> None:
                         "digests": state.content_digests(),
                         "queries": sorted(state.queries),
                         **result_counts,
+                        "kernel_nodes": dict(state.kernel_nodes),
                     },
                 )
             return ("error", "ValueError", f"unknown message {kind!r}")

@@ -7,13 +7,16 @@ by its wire form (:meth:`ResidentSiteState.store`) or, when it holds
 the epoch a journalled content edit started from, by the edit alone
 (:meth:`ResidentSiteState.patch`).  It keeps three things per
 fragment: the epoch it holds, the parsed :class:`Fragment`, and its
-:class:`~repro.core.bottom_up.GroundLinear` linearization (``None``
-for fragments with virtual nodes).  Batches ship only ``(fragment_id,
-epoch)`` references plus the query program; evaluation runs through
-:func:`~repro.core.bottom_up.site_bottom_up`, so all ground fragments
+:class:`~repro.core.bottom_up.GroundLinear` linearization (virtual
+leaves included).  Batches ship only ``(fragment_id, epoch)``
+references plus the query program; evaluation runs through
+:func:`~repro.core.bottom_up.site_bottom_up`, so all fragments
 co-located on the holder fold in one site-vectorized pass with shared
 compiled programs and per-``(fragment, query)`` base caches -- which a
-patch splices rather than drops.
+patch splices rather than drops.  A copy that has been patched also
+keeps every node's ``V`` / ``DV`` per query it answers, and a patch
+marks them stale along the edited node's root path: the job after an
+edit pays for that spine, not for the fragment.
 
 The triplet of a fragment is a function of the fragment's content and
 the query alone (the fact the paper's maintenance scheme rests on), so
@@ -110,7 +113,7 @@ QUERY_CAP = 128
 
 
 class ResidentFragment(tuple):
-    """One resident copy: ``(epoch, Fragment, GroundLinear | None)``.
+    """One resident copy: ``(epoch, Fragment, GroundLinear)``.
 
     ``results`` maps ``query -> {algebra type -> (triplet blob,
     nodes_visited)}`` for what this copy, at this epoch, has answered.
@@ -144,6 +147,11 @@ class ResidentSiteState:
         self.queries: OrderedDict[str, QList] = OrderedDict()
         #: (fragment_id, epoch) -> arrivals by push or patch (once-per-epoch witness)
         self.receive_counts: Counter = Counter()
+        #: Nodes really evaluated, by mode: ``full`` lane pass, ``spine``
+        #: recompute, ``open`` symbolic completion (every linearization
+        #: of this holder tallies here; unlocked, so an observation --
+        #: exact under a single-threaded worker).
+        self.kernel_nodes: dict[str, int] = {"full": 0, "spine": 0, "open": 0}
 
     # ------------------------------------------------------------------
     # Residency lifecycle
@@ -172,11 +180,11 @@ class ResidentSiteState:
         replaced copy had answered goes with it, whether or not the
         epoch moved.
         """
-        from repro.core.bottom_up import linearize_ground  # local: import cycle
+        from repro.core.bottom_up import linearize  # local: import cycle
 
-        self.fragments[fragment.fragment_id] = ResidentFragment(
-            fragment.epoch, fragment, linearize_ground(fragment)
-        )
+        linear = linearize(fragment)
+        linear.work = self.kernel_nodes
+        self.fragments[fragment.fragment_id] = ResidentFragment(fragment.epoch, fragment, linear)
 
     def patch(self, patches: Sequence[tuple]) -> int:
         """Bring resident fragments forward by journalled content edits.
@@ -184,10 +192,11 @@ class ResidentSiteState:
         Each patch is ``(fragment_id, base_epoch, new_epoch, edits)``
         with ``edits`` as :meth:`Fragment.apply_edit` takes them.  It is
         applied only to a copy held at exactly ``base_epoch`` -- the
-        tree is edited, a ground fragment's linearization (and every
-        per-query base list cached on it) spliced at the touched range,
-        and the copy stamped ``new_epoch`` under a fresh entry, without
-        the results the old epoch had answered.  Any other patch is dropped
+        tree is edited, its linearization (and every per-query list
+        cached on it) spliced at the touched range, the retained
+        vectors marked stale along the edited spine, and the copy
+        stamped ``new_epoch`` under a fresh entry, without the results
+        the old epoch had answered.  Any other patch is dropped
         untouched: the job that follows references ``new_epoch``, draws
         :class:`StaleResidentError` and is healed by a full push.
         Returns the number of patches applied.
@@ -202,8 +211,6 @@ class ResidentSiteState:
             for edit in edits:
                 kind, postorder = edit[0], edit[2]
                 node = fragment.apply_edit(edit)
-                if linear is None:
-                    continue
                 if kind == "set":
                     linear.relabel(postorder, node.label, node.text)
                 elif kind == "ins":
@@ -252,9 +259,9 @@ class ResidentSiteState:
         The first reference must carry the wire form (``qlist_obj``);
         later references hit the cache, which is what keeps compiled
         entries, ground programs, lane kernels, per-fragment base
-        arrays and answered results alive across batches.  Beyond
-        :data:`QUERY_CAP` programs the least recently referenced one is
-        dropped, with its base list and results on every fragment.
+        arrays, retained vectors and answered results alive across
+        batches.  Beyond :data:`QUERY_CAP` programs the least recently
+        referenced one is dropped, with all of those on every fragment.
         """
         qlist = self.queries.get(fingerprint)
         if qlist is not None:
@@ -268,8 +275,7 @@ class ResidentSiteState:
             _, evicted = self.queries.popitem(last=False)
             for entry in list(self.fragments.values()):
                 entry.results.pop(evicted, None)
-                if entry[2] is not None:
-                    entry[2].bases.pop(evicted, None)
+                entry[2].forget(evicted)
         return qlist
 
     # ------------------------------------------------------------------
@@ -291,18 +297,19 @@ class ResidentSiteState:
         Returns ``(per-fragment results, busy seconds)`` where each
         result is ``(triplet blob, nodes visited, qlist ops, segment
         ops)`` -- bitwise identical to the per-fragment path, one
-        vectorized pass for all ground fragments that have to be
-        evaluated.
+        vectorized pass for all fragments that have to be evaluated.
 
         A fragment whose copy already answered ``qlist`` under this
         algebra at the epoch it still holds is served from that copy's
-        memo: the same blob, the same ``nodes visited``.  Those counts
-        (and the ops derived from them) are then the ledger's
-        *algorithmic* cost -- what ``bottomUp`` visits for this
-        fragment and query -- not work this call performed; ``seconds``
-        stays what the call really spent, so on a warm holder it times
-        the lookups.  Only a resident query (:meth:`ensure_query`) is
-        memoized, so the memo is bounded like query residency is.
+        memo, and one whose copy was patched since is recomputed along
+        the edited spines only: the same blob, the same ``nodes
+        visited`` either way.  Those counts (and the ops derived from
+        them) are ``bottomUp``'s algorithmic cost for (fragment,
+        query), not work performed -- :attr:`kernel_nodes` has that --
+        and ``seconds`` stays what the call really spent, so on a warm
+        holder it times the lookups.  Only a resident query
+        (:meth:`ensure_query`) is memoized, so the memo is bounded like
+        query residency is.
         """
         # The pair the benchmark harness and the tests unpack;
         # dispatchers that report hits call run_counted.

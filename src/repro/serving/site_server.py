@@ -153,6 +153,15 @@ class SiteServer:
         )
         self._result_hits = results_total.labels(result="hit")
         self._result_misses = results_total.labels(result="miss")
+        kernel_nodes = self.registry.counter(
+            "resident_kernel_nodes_total",
+            "Nodes the resident kernel really evaluated: full lane pass, "
+            "edited-spine recompute, open-spine symbolic completion",
+            labelnames=("mode",),
+        )
+        self._kernel_nodes = {
+            mode: kernel_nodes.labels(mode=mode) for mode in self.state.kernel_nodes
+        }
         self._server: Optional[asyncio.base_events.Server] = None
         self._writers: set[asyncio.StreamWriter] = set()
         self._tasks: set[asyncio.Task] = set()
@@ -327,6 +336,10 @@ class SiteServer:
         self._execute_seconds.observe(seconds)
         self._result_hits.inc(hits)
         self._result_misses.inc(len(results) - hits)
+        for mode, child in self._kernel_nodes.items():
+            evaluated = self.state.kernel_nodes[mode] - child.value
+            if evaluated > 0:  # the holder's tally is the truth; a hit adds nothing
+                child.inc(evaluated)
         spans = ()
         if timer is not None:
             spans = (timer.finish(seconds=round(seconds, 6), memo_hits=hits).to_wire(),)

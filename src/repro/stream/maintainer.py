@@ -12,7 +12,8 @@ is realized here for a whole *batch* of standing queries at once:
 2. **refresh** -- after an update batch
    (:func:`~repro.stream.updates.apply_updates`), only the dirty
    fragments' sites re-run ``bottomUp`` -- over the combined QList, one
-   traversal per fragment however many queries stand -- dispatched as
+   traversal per fragment however many queries stand (a resident
+   holder re-runs it along the edited spine only) -- dispatched as
    one :class:`~repro.distsim.executors.SiteJob` per dirty site through
    the run's executor, so dirty sites refresh concurrently under the
    ``threads``/``process`` strategies;
@@ -38,14 +39,15 @@ survive a migration bitwise untouched.
 
 Per-round costs, in ledger units: site work is one combined-QList
 ``bottomUp`` per dirty fragment (``O(Σ|q_i| · |F_dirty|)`` node x
-entry ops); traffic is the changed slices only, worst case
+entry ops -- the algorithmic cost; a patched resident holder really
+evaluates ``O(depth)`` nodes per edit); traffic is the changed slices only, worst case
 ``O(Σ|q_i| · card(F_dirty))`` formula terms plus control acks --
 independent of ``|T|`` and of the update size, the paper's Section 5
 bound extended to a whole standing book.
 
 Hot-path notes: the per-fragment refresh runs ``bottomUp``'s bitset
-ground kernel whenever the dirty fragment holds no virtual node (the
-common case -- see :mod:`repro.core.bottom_up`), the combined QList's
+kernel on every ground node (all but the root-to-virtual-node paths --
+see :mod:`repro.core.bottom_up`), the combined QList's
 compiled form is cached on the QList across rounds, and under the
 ``process`` executor the refreshed triplets return in the compact
 bitmask+residue wire form (:meth:`~repro.core.vectors.VectorTriplet.to_compact`)
@@ -128,7 +130,12 @@ class Changefeed:
 
 @dataclass(frozen=True)
 class MaintenanceRound:
-    """The ledger of one refresh round (one update batch)."""
+    """The ledger of one refresh round (one update batch).
+
+    ``nodes_recomputed`` is ``bottomUp``'s algorithmic cost for
+    (fragment, query), not work performed, summed over the dirty
+    fragments.
+    """
 
     seq: int
     ops: tuple[str, ...]  # human-readable op descriptions

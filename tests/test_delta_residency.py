@@ -5,10 +5,15 @@
   ``None`` once it is broken (structural op, out-of-band refresh, a
   holder further behind than ``JOURNAL_CAP``);
 * property, in process: a :class:`ResidentSiteState` brought forward by
-  patches holds the same tree, and a spliced ``GroundLinear`` (arrays,
-  levels, every cached ``bases`` list) equal to a fresh linearization
-  of it, under random edit streams interleaved with split / merge /
-  move and out-of-band refreshes;
+  patches holds the same tree, a spliced ``GroundLinear`` (arrays,
+  levels, owners, open spine, every cached ``bases`` list) equal to a
+  fresh linearization of it, retained vectors equal to a fresh lane
+  pass wherever they are not flagged stale, and answers -- whether from
+  a full pass, an edited-spine recompute or the memo -- bitwise equal to
+  the formula kernel on the live fragment under both algebras, under
+  random edit streams interleaved with split / merge / move and
+  out-of-band refreshes, while query eviction drops retained state
+  mid-stream;
 * property, real workers: the same streams maintained under the
   ``process`` and ``serial`` executors agree round by round on the
   whole ``MaintenanceRound`` ledger, and the workers hold the live
@@ -24,20 +29,24 @@ import importlib
 import itertools
 import multiprocessing
 import random
+from unittest import mock
 
 import pytest
 
-from repro.boolexpr.compose import CanonicalAlgebra
+from repro.boolexpr.compose import CanonicalAlgebra, PaperAlgebra
 from repro.core.bottom_up import (
     _ground_program,
+    _lane_pass,
+    _lane_program,
     _linear_bases,
     bottom_up,
     compile_entries,
-    linearize_ground,
+    linearize,
 )
 from repro.core.vectors import VectorTriplet
+from repro.distsim import resident as resident_module
 from repro.distsim.executors import ProcessSiteExecutor, resident_fragment_wire
-from repro.distsim.resident import ResidentSiteState, fragment_digest
+from repro.distsim.resident import ResidentSiteState, fragment_digest, qlist_fingerprint
 from repro.fragments.fragment import JOURNAL_CAP
 from repro.stream import (
     DelNode,
@@ -197,6 +206,7 @@ class TestJournal:
         cluster = _cluster(5)
         for fragment in cluster.fragmented_tree.fragments.values():
             postorder = list(fragment.root.iter_postorder())
+            linear = linearize(fragment)
             for index, node in enumerate(postorder):
                 found, path, position = fragment.locate(node.node_id)
                 assert found is node and position == index
@@ -204,6 +214,10 @@ class TestJournal:
                 for child_index in path:
                     walked = walked.children[child_index]
                 assert walked is node
+                # ...and the same node in the linearization, virtual or not.
+                assert linear.labels[position] == node.label
+                assert linear.owners.get(position) == node.fragment_ref
+        assert cluster.fragment("F0").virtual_nodes()  # virtual leaves are counted
         with pytest.raises(KeyError):
             fragment.locate(-1)
 
@@ -270,51 +284,129 @@ def _bring_forward(state, model, cluster):
     return patched
 
 
-def _check_splice_equals_relinearize(seed):
+def _asked(round_index, qlists):
+    """Which queries a round evaluates, with ``QUERY_CAP`` at 2.
+
+    The first always, so it is recomputed incrementally round after
+    round; the second every third round, so its stale flags pile up
+    across patches in between; the third now and then, which evicts
+    whichever of the others was referenced longest ago together with
+    what every fragment retained for it.
+    """
+    asked = [qlists[0]]
+    if round_index % 3 == 0:
+        asked.append(qlists[1])
+    if round_index % 5 == 4:
+        asked.append(qlists[2 + round_index % (len(qlists) - 2)])
+    return asked
+
+
+def _check_splice_equals_relinearize(seed, algebra_cls=CanonicalAlgebra):
     cluster = _cluster(seed)
+    # A single-node fragment beside the ground and the virtual-holding ones.
+    apply_updates(cluster, [SplitFragment("F1", _first_leaf(cluster, "F1").node_id)])
     qlists = [compile_query(text) for text in BOOK.values()]
-    algebra = CanonicalAlgebra()
+    algebra = algebra_cls()
     state, model = ResidentSiteState(), {}
     patched = 0
     # Rounds are drawn from live state: apply each before the next is drawn.
-    for kind, payload in itertools.chain([("boot", None)], _random_rounds(cluster, seed, 14)):
-        if kind == "apply":
-            apply_updates(cluster, payload)
-        elif kind == "refresh":
-            for fragment_id in payload:
-                cluster.fragment(fragment_id).bump_epoch()
-        patched += _bring_forward(state, model, cluster)
-        assert state.resident_epochs() == {
-            fid: fragment.epoch
-            for fid, fragment in cluster.fragmented_tree.fragments.items()
-        }
-        for fragment_id, live in cluster.fragmented_tree.fragments.items():
-            epoch, resident, linear = state.fragments[fragment_id]
-            assert serialize(resident.root) == serialize(live.root)
-            fresh = linearize_ground(resident)
-            assert (linear is None) == (fresh is None)
-            for qlist in qlists:
-                # Evaluating fills (first round) or reuses (later, the
-                # spliced) per-query base lists.
-                ((compact, nodes, _ops, _segments),), _ = state.run(
-                    "S", [(fragment_id, epoch)], qlist, algebra
-                )
-                expected, stats = bottom_up(live, qlist, algebra)
-                assert VectorTriplet.from_compact(compact) == expected
-                assert nodes == stats.nodes_visited
-            if linear is None:
-                continue
-            assert linear.size == fresh.size
-            assert linear.parents == fresh.parents
-            assert linear.levels == fresh.levels
-            assert linear.labels == fresh.labels
-            assert linear.texts == fresh.texts
-            assert set(linear.bases) == set(qlists)
-            for qlist, bases in linear.bases.items():
-                program = _ground_program(qlist, compile_entries(qlist))
-                assert bases == _linear_bases(fresh, program, qlist)
+    rounds = itertools.chain([("boot", None)], _random_rounds(cluster, seed, 20))
+    with mock.patch.object(resident_module, "QUERY_CAP", 2):
+        for round_index, (kind, payload) in enumerate(rounds):
+            if kind == "apply":
+                apply_updates(cluster, payload)
+            elif kind == "refresh":
+                for fragment_id in payload:
+                    cluster.fragment(fragment_id).bump_epoch()
+            patched += _bring_forward(state, model, cluster)
+            assert state.resident_epochs() == {
+                fid: fragment.epoch
+                for fid, fragment in cluster.fragmented_tree.fragments.items()
+            }
+            fragments = cluster.fragmented_tree.fragments
+            residents = []
+            for qlist in _asked(round_index, qlists):
+                # As a dispatcher does: the program rides with the job.
+                qlist = state.ensure_query(qlist_fingerprint(qlist), qlist.to_obj())
+                residents.append(qlist)
+                assert len(state.queries) <= 2
+                for fragment_id, live in fragments.items():
+                    # A full pass, an edited-spine recompute or a memo
+                    # hit: the formula kernel's answer on the live tree.
+                    ((blob, nodes, _ops, _segments),), _ = state.run(
+                        "S", [(fragment_id, live.epoch)], qlist, algebra
+                    )
+                    expected, stats = bottom_up(live, qlist, algebra, kernel="formula")
+                    assert VectorTriplet.from_compact(blob) == expected
+                    assert bytes(blob) == bytes(expected.to_blob())
+                    assert nodes == stats.nodes_visited
+            for fragment_id, live in fragments.items():
+                _epoch, resident, linear = state.fragments[fragment_id]
+                assert serialize(resident.root) == serialize(live.root)
+                fresh = linearize(resident)
+                assert linear.size == fresh.size == live.size()
+                assert linear.parents == fresh.parents
+                assert linear.levels == fresh.levels
+                assert linear.labels == fresh.labels
+                assert linear.texts == fresh.texts
+                assert linear.owners == fresh.owners
+                assert list(linear.open.items()) == list(fresh.open.items())
+                assert linear.sizes == fresh.sizes
+                assert set(linear.vectors) <= set(linear.bases) <= set(state.queries.values())
+                assert linear.spliced or not linear.vectors
+                for qlist, bases in linear.bases.items():
+                    entries = compile_entries(qlist)
+                    program = _ground_program(qlist, entries)
+                    assert bases == _linear_bases(fresh, program, qlist)
+                    if qlist not in linear.vectors:
+                        continue
+                    # What is retained and not flagged is what a full
+                    # pass computes; what was just asked has no flag left.
+                    vs, dv, stale = linear.vectors[qlist]
+                    lanes = _lane_program(qlist, entries)
+                    fresh_vs, fresh_dv, _cv = _lane_pass(fresh, program, lanes, len(entries), qlist)
+                    assert len(vs) == len(dv) == len(stale) == len(fresh_vs)
+                    assert not (qlist in residents and any(stale))
+                    for index, flag in enumerate(stale):
+                        assert flag or (vs[index], dv[index]) == (
+                            fresh_vs[index],
+                            fresh_dv[index],
+                        )
     assert patched > 0  # else the property is vacuous
     assert all(count == 1 for count in state.receive_counts.values())
+    return state
+
+
+class TestRetention:
+    def test_only_a_patched_copy_retains_vectors(self):
+        cluster = _cluster(7)
+        fragment = cluster.fragment("F1")
+        algebra = CanonicalAlgebra()
+        state = ResidentSiteState()
+        state.store([resident_fragment_wire(fragment)])
+        qlists = [
+            state.ensure_query(qlist_fingerprint(qlist), qlist.to_obj())
+            for qlist in map(compile_query, BOOK.values())
+        ]
+
+        def ask():
+            for qlist in qlists:
+                state.run("S", [("F1", fragment.epoch)], qlist, algebra)
+            return state.fragments["F1"][2]
+
+        # Never patched: however much it answers, it keeps base lists only.
+        linear = ask()
+        assert not linear.spliced and linear.vectors == {}
+        assert set(linear.bases) == set(qlists)
+        before = fragment.epoch
+        apply_updates(cluster, [Relabel("F1", _first_leaf(cluster, "F1").node_id, text="on")])
+        state.patch([("F1", before, fragment.epoch, fragment.edits_since(before))])
+        assert ask() is linear and linear.spliced
+        assert set(linear.vectors) == set(qlists)
+        # A re-pushed copy starts empty again.
+        state.store([resident_fragment_wire(fragment)])
+        fresh = ask()
+        assert fresh is not linear and not fresh.spliced and fresh.vectors == {}
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +462,14 @@ def _check_process_equals_serial(seed):
 
 
 class TestPatchEquivalence:
+    @pytest.mark.parametrize("algebra_cls", [CanonicalAlgebra, PaperAlgebra])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_splice_equals_relinearize(self, seed):
-        _check_splice_equals_relinearize(seed)
+    def test_splice_equals_relinearize(self, seed, algebra_cls):
+        state = _check_splice_equals_relinearize(seed, algebra_cls)
+        # Full passes, edited-spine recomputes and open-spine completions
+        # all ran -- and the recomputes were the cheap ones.
+        assert all(state.kernel_nodes.values())
+        assert state.kernel_nodes["spine"] < state.kernel_nodes["full"]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_process_rounds_equal_serial_rounds(self, seed):
@@ -380,10 +477,13 @@ class TestPatchEquivalence:
 
     if given is not None:
 
-        @settings(max_examples=15, deadline=None)
-        @given(st.integers(min_value=0, max_value=2**32 - 1))
-        def test_splice_equals_relinearize_any_seed(self, seed):
-            _check_splice_equals_relinearize(seed)
+        @settings(max_examples=40, deadline=None)
+        @given(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from([CanonicalAlgebra, PaperAlgebra]),
+        )
+        def test_splice_equals_relinearize_any_seed(self, seed, algebra_cls):
+            _check_splice_equals_relinearize(seed, algebra_cls)
 
         @settings(max_examples=5, deadline=None)
         @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -536,7 +636,7 @@ class TestContentEditsShipNoFragment:
         for module_name, name in (
             ("repro.xmltree.serializer", "serialize"),
             ("repro.xmltree.parser", "parse_xml"),
-            ("repro.core.bottom_up", "linearize_ground"),
+            ("repro.core.bottom_up", "linearize"),
         ):
             # (`repro.core.bottom_up` the attribute is the function.)
             module = importlib.import_module(module_name)
@@ -565,4 +665,39 @@ class TestContentEditsShipNoFragment:
             assert maintainer.answers() == {
                 name: _oracle(cluster, text) for name, text in BOOK.items()
             }
+            maintainer.close()
+
+    def test_sixteen_rounds_evaluate_the_edited_spines_only(self):
+        # A (fragment, book) pair pays one full pass after the fragment's
+        # first patch, then at most depth + 1 ground nodes per edit.
+        cluster = star_ft1(4, 0.6, seed=9, nodes_per_mb=40)
+        with ProcessSiteExecutor(max_workers=2) as executor:
+            maintainer = StreamMaintainer(cluster, executor=executor)
+            for name, text in BOOK.items():
+                maintainer.subscribe(name, text)
+
+            def evaluated():
+                totals = [stats["kernel_nodes"] for stats in executor.worker_stats()]
+                return {mode: sum(total[mode] for total in totals) for mode in totals[0]}
+
+            # Ground nodes an edit can make stale, per fragment, since its last job.
+            spines = dict.fromkeys(cluster.fragmented_tree.fragments, 0)
+            patched = set()
+            for ops in update_stream(cluster, rounds=16, ops_per_round=4, seed=9):
+                for op in ops:
+                    target = getattr(op, "parent_node_id", None) or op.node_id
+                    depth = cluster.fragment(op.fragment_id).node_by_id(target).depth()
+                    spines[op.fragment_id] += depth + 2  # an inserted leaf is one deeper
+                before = evaluated()
+                dirty = maintainer.apply(ops).dirty_fragments
+                work = {mode: total - before[mode] for mode, total in evaluated().items()}
+                first = set(dirty) - patched
+                patched |= first
+                assert 0 < work["full"] + work["spine"]
+                assert work["full"] <= sum(cluster.fragment(fid).size() for fid in first)
+                assert work["spine"] <= sum(spines[fid] for fid in set(dirty) - first)
+                assert (work["full"] == 0) == (not first)
+                for fragment_id in dirty:
+                    spines[fragment_id] = 0
+            assert len(patched) > 1 and evaluated()["spine"] > 0
             maintainer.close()

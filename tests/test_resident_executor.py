@@ -30,7 +30,7 @@ from repro.core import (
     ParBoXEngine,
     evaluate_tree,
 )
-from repro.core.bottom_up import bottom_up, linearize_ground, site_bottom_up
+from repro.core.bottom_up import bottom_up, linearize, linearize_ground, site_bottom_up
 from repro.core.vectors import VectorTriplet, compact_with_buffers
 from repro.distsim.executors import (
     ProcessSiteExecutor,
@@ -410,18 +410,21 @@ class TestSiteBottomUp:
         fragments = [
             cluster.fragment(fid) for fid in sorted(cluster.fragmented_tree.fragments)
         ]
-        residents = [(f, linearize_ground(f)) for f in fragments]
+        # A chain: every fragment but the last is interior, its open
+        # spine completed over formulas from the lane pass's masks.
+        residents = [(f, linearize(f)) for f in fragments]
+        assert sum(1 for _, linear in residents if linear.open) == len(fragments) - 1
         for query in QUERIES + ["[//seal]", '[//probe = "on" or not //item]']:
             qlist = compile_query(query)
             vectorized = site_bottom_up(residents, qlist, algebra_cls())
             for fragment, (triplet, nodes) in zip(fragments, vectorized):
-                expected, stats = bottom_up(fragment, qlist, algebra_cls())
+                expected, stats = bottom_up(fragment, qlist, algebra_cls(), kernel="formula")
                 assert triplet == expected, (query, fragment.fragment_id)
                 assert nodes == stats.nodes_visited
 
     def test_ground_fragments_have_linearizations(self):
         # In a fragmented cluster the interior fragments hold virtual
-        # nodes (no linearization); pure leaves linearize.
+        # nodes (`linearize_ground` declines them); pure leaves do not.
         cluster = build_portfolio_cluster()
         kinds = {
             fid: linearize_ground(cluster.fragment(fid)) is not None

@@ -587,6 +587,23 @@ class TestCachedSizes:
                     _assert_sizes_are_fresh(piece.shifted(offset))
                 _assert_sizes_are_fresh(triplet.substitute(triplet.binding_env()))
 
+    def test_slice_of_a_ground_triplet_is_the_plain_slice_known_ground(self, monkeypatch):
+        plan = plan_batch([compile_query(text) for text in BOOK.values()])
+        fragment = _cluster(2).fragment("F1")
+        triplet, _ = bottom_up(fragment, plan.combined, CanonicalAlgebra())
+        assert triplet.is_ground() and len(plan.segments) > 1
+        pieces = []
+        for offset, length in plan.segments:
+            stop = offset + length
+            rebased = VectorTriplet(
+                "F1", triplet.v[offset:stop], triplet.cv[offset:stop], triplet.dv[offset:stop]
+            ).shifted(-offset)
+            pieces.append(triplet.sliced(offset, length))
+            assert pieces[-1] == rebased
+        # ...and nothing is walked to find that out again.
+        monkeypatch.setattr(VectorTriplet, "variables", None)
+        assert all(piece.is_ground() for piece in pieces)
+
     def test_plan_and_qlist_derivations_are_made_once(self):
         cluster = _cluster(4)
         with QuerySession(cluster, engine="parbox") as session:
@@ -629,7 +646,7 @@ class TestQueryResidency:
         before, _ = state.run("S", refs, oldest, algebra)
         for entry in state.fragments.values():
             assert oldest in entry.results
-            assert entry[2] is None or oldest in entry[2].bases
+            assert oldest in entry[2].bases
         for qlist in qlists[1:QUERY_CAP]:
             state.run("S", refs, _resident(state, qlist), algebra)
         assert _resident(state, qlists[0]) is oldest  # a reference keeps it young
@@ -643,9 +660,9 @@ class TestQueryResidency:
         assert qlist_fingerprint(qlists[0]) not in state.queries
         for entry in state.fragments.values():
             assert oldest not in entry.results
-            assert entry[2] is None or oldest not in entry[2].bases
+            assert oldest not in entry[2].bases
             assert len(entry.results) <= QUERY_CAP
-            assert entry[2] is None or len(entry[2].bases) <= QUERY_CAP
+            assert len(entry[2].bases) <= QUERY_CAP
         # A re-reference re-installs it and answers the same.
         with pytest.raises(KeyError):
             state.ensure_query(qlist_fingerprint(qlists[0]))
@@ -772,12 +789,22 @@ class TestObservability:
 
             assert memo_hits(cold) == 0 and memo_hits(warm) == fragments
             per_site = {"hit": 0.0, "miss": 0.0}
+            evaluated = {"full": 0.0, "spine": 0.0, "open": 0.0}
             for servers in serving.sites.values():
                 for server in servers:
-                    values = server.registry.snapshot()["resident_results_total"]["values"]
+                    snapshot = server.registry.snapshot()
+                    values = snapshot["resident_results_total"]["values"]
                     for result in per_site:
                         per_site[result] += values.get(f"result={result}", 0.0)
+                    for mode in evaluated:
+                        evaluated[mode] += snapshot["resident_kernel_nodes_total"]["values"][
+                            f"mode={mode}"
+                        ]
             assert per_site == {"hit": fragments, "miss": fragments}
+            # The misses evaluated every node once, the hits none: the
+            # real work beside the ledger's algorithmic cost.
+            assert evaluated["full"] + evaluated["open"] == cluster.fragmented_tree.total_size()
+            assert evaluated["open"] > 0 and evaluated["spine"] == 0
             gateway = serving.scrape()["resident_results_total"]["values"]
             assert gateway == {"result=hit": fragments, "result=miss": fragments}
             out = io.StringIO()
