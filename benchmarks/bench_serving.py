@@ -7,11 +7,7 @@ inline site servers).  The delta is the serving tax -- framing,
 loopback round-trips and the coordinator's thread hop -- paid for
 running sites as real network peers.  A correctness cross-check keeps
 the comparison honest: both paths must return identical answers and
-identical deterministic ledgers.  A scale-out row rides along: the
-same concurrent load against a 1- and a 2-coordinator gateway pool,
-whose throughput ratio is gated against a no-regression floor (a
-single-core host cannot show parallel speedup; a multi-core one
-should approach the >= 1.5x scale-out target).
+identical deterministic ledgers.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the topology and batch.
 
@@ -45,14 +41,6 @@ from repro.workloads.topologies import star_ft1
 
 #: Allowed worsening of the serving-tax ratio vs the committed baseline.
 REGRESSION_TOLERANCE = 1.25
-
-#: Floor on the 1->2 coordinator throughput ratio.  On a multi-core host
-#: the pool genuinely parallelizes (the scale-out acceptance target is
-#: >= 1.5x there); the single-core CI box time-shares one CPU across
-#: both coordinators, so the local gate only demands that a second
-#: coordinator costs nothing material -- the ratio must not fall below
-#: this floor.
-SCALING_FLOOR = 0.75
 
 SITES = 3 if QUICK else 6
 BATCH = 4 if QUICK else 16
@@ -163,70 +151,6 @@ def run_serving(quick: bool = False, seed: int = 7) -> dict:
         "gateway_ms": round(gateway_s * 1000, 2),
         "tax_ratio": round(gateway_s / local_s, 2),
         "latency_ms": latency_ms,
-        "scaling": run_scaling(quick=quick, seed=seed),
-    }
-
-
-def run_scaling(quick: bool = False, seed: int = 7) -> dict:
-    """Concurrent throughput with a 1- vs 2-coordinator gateway pool.
-
-    Four client threads drive distinct standing batches (so the hash
-    router spreads them across the pool) through the same
-    ``ServingCluster`` booted with ``coordinators=1`` and then ``2``.
-    ``ratio_1_to_2`` is the headline scale-out number: > 1 means the
-    second coordinator bought throughput.  On a single-core host both
-    coordinators time-share one CPU, so the honest expectation there is
-    ~1.0x (routing costs nothing), not the multi-core >= 1.5x target.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.bench.experiments import BenchConfig
-
-    config = BenchConfig.quick() if quick else BenchConfig.default()
-    sites = 3 if quick else 6
-    mb = 0.05 if quick else 0.5
-    requests = 40 if quick else 80
-    clients = 4
-    cluster = config.with_network(
-        star_ft1(sites, mb, seed=seed, nodes_per_mb=config.nodes_per_mb)
-    )
-    pool_texts = subscription_texts(8, seed=seed)
-    batches = [
-        [pool_texts[i], pool_texts[(i + 1) % len(pool_texts)]]
-        for i in range(len(pool_texts))
-    ]
-
-    def measure(coordinators: int) -> float:
-        with ServingCluster(cluster, coordinators=coordinators) as tier:
-            sessions = [tier.session(engine="parbox") for _ in range(clients)]
-            try:
-                for index, session in enumerate(sessions):
-                    session.evaluate_batch(batches[index % len(batches)])
-
-                def work(worker: int) -> None:
-                    session = sessions[worker]
-                    for step in range(requests // clients):
-                        session.evaluate_batch(
-                            batches[(worker * 7 + step) % len(batches)]
-                        )
-
-                started = time.perf_counter()
-                with ThreadPoolExecutor(max_workers=clients) as pool:
-                    list(pool.map(work, range(clients)))
-                elapsed = time.perf_counter() - started
-            finally:
-                for session in sessions:
-                    session.close()
-        return requests / max(elapsed, 1e-9)
-
-    single_rps = measure(1)
-    double_rps = measure(2)
-    return {
-        "clients": clients,
-        "requests": requests,
-        "rps_1_coordinator": round(single_rps, 2),
-        "rps_2_coordinators": round(double_rps, 2),
-        "ratio_1_to_2": round(double_rps / single_rps, 3),
     }
 
 
@@ -274,17 +198,6 @@ def render(result: dict) -> str:
             if result.get("latency_ms")
             else []
         )
-        + (
-            [
-                f"  coordinator scale-out ({result['scaling']['clients']} clients, "
-                f"{result['scaling']['requests']} requests): "
-                f"{result['scaling']['rps_1_coordinator']} req/s @1 -> "
-                f"{result['scaling']['rps_2_coordinators']} req/s @2 "
-                f"({result['scaling']['ratio_1_to_2']}x)"
-            ]
-            if result.get("scaling")
-            else []
-        )
     )
 
 
@@ -328,19 +241,6 @@ def main(argv: list | None = None) -> int:
         if verdict == "FAIL":
             failures.append(
                 f"serving tax worsened >25% vs baseline ({reference['tax_ratio']}x)"
-            )
-    scaling = result.get("scaling")
-    if scaling:
-        ratio = scaling["ratio_1_to_2"]
-        scaling_verdict = "PASS" if ratio >= SCALING_FLOOR else "FAIL"
-        print(
-            f"  [{scaling_verdict}] 1->2 coordinator throughput ratio "
-            f"{ratio}x >= {SCALING_FLOOR}x floor"
-        )
-        if scaling_verdict == "FAIL":
-            failures.append(
-                f"2-coordinator throughput fell to {ratio}x of 1-coordinator "
-                f"(floor {SCALING_FLOOR}x)"
             )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -402,17 +402,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         site_timeout=args.site_timeout,
         default_engine=args.engine,
         gateway_port=args.port,
-        coordinators=args.coordinators,
-        max_workers=args.max_workers,
-        routing=args.routing,
     )
     serving.start()
     try:
         print(
             f"serving {cluster.total_size()} nodes / {cluster.card()} fragments "
             f"across {len(serving.sites)} {args.site_mode} site(s) "
-            f"x{args.replicas} replica(s), "
-            f"{args.coordinators} coordinator(s) [{args.routing}]"
+            f"x{args.replicas} replica(s)"
         )
         for site_id, servers in sorted(serving.sites.items()):
             ports = ", ".join(str(server.port) for server in servers)
@@ -733,24 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sites as in-process servers or real child processes",
     )
     serve.add_argument("--replicas", type=int, default=1, help="site servers per site")
-    serve.add_argument(
-        "--coordinators",
-        type=int,
-        default=1,
-        help="coordinators behind the gateway (scale-out pool size)",
-    )
-    serve.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="gateway worker threads (default: tracks max inflight)",
-    )
-    serve.add_argument(
-        "--routing",
-        default="hash",
-        choices=("hash", "least", "skew"),
-        help="coordinator routing policy (hash = sticky by plan fingerprint)",
-    )
     serve.add_argument("--engine", default="parbox", help="default engine for queries")
     serve.add_argument(
         "--site-timeout", type=float, default=10.0, help="per-site request deadline (s)"

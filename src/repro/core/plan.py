@@ -10,7 +10,9 @@ every engine (and the standing book of :mod:`repro.stream`) batches
 through:
 
 * :class:`QueryCache` -- memoizes the text -> AST -> normal form ->
-  QList compilation pipeline, keyed by query text (a bounded LRU);
+  QList compilation pipeline, keyed by query text (a bounded LRU), and
+  the batch -> :class:`BatchPlan` step after it, keyed by the canonical
+  QLists it handed out (the one plan cache every caller shares);
 * :func:`plan_batch` / :class:`BatchPlan` -- deduplicates repeated
   queries (identical QLists collapse into one shared segment), offsets
   and concatenates the unique ones, and remembers how to slice the
@@ -56,19 +58,50 @@ class CompiledQuery:
 #: AST, normal form and QList it ever compiled (~9 KB a text).
 QUERY_CACHE_SIZE = 1024
 
+#: Bound on a :class:`QueryCache`'s planned batches (LRU): a standing
+#: book of a few dozen batches stays planned, a stream of never-seen
+#: batches cannot grow it.
+PLAN_CAP = 256
+
+#: What :meth:`QueryCache.qlist` accepts: a text, a compiled QList, or
+#: the ``("qlist", entries)`` wire form a client ships precompiled.
+_WireOrQuery = Union[str, QList, tuple]
+
+
+def _bounded_put(lru: OrderedDict, key, value, cap: int):
+    """Store ``value`` unless a racing thread stored first; return the winner.
+
+    Callers hold the cache lock.  Keeping the first stored object is what
+    makes "one object per key" hold when two threads miss together.
+    """
+    value = lru.setdefault(key, value)
+    lru.move_to_end(key)
+    while len(lru) > cap:
+        lru.popitem(last=False)
+    return value
+
 
 class QueryCache:
-    """Memoized text -> AST -> normal form -> QList compilation.
+    """Memoized text -> AST -> normal form -> QList -> batch plan.
 
     A pub/sub coordinator sees the same subscription text over and over;
     re-parsing it per batch would dominate small-query workloads.  The
     cache keeps the :data:`QUERY_CACHE_SIZE` most recently used texts
-    (an evicted one simply compiles again, to an equal QList);
-    :meth:`stats` reports the hit rate for the benchmarks.
+    (an evicted one simply compiles again, to an equal QList) and hands
+    out one QList object per text, so a batch of compiled queries is a
+    tuple of canonical objects -- the key of the :data:`PLAN_CAP` most
+    recently planned batches (:meth:`lookup_plan`).  Sessions and the
+    serving coordinator plan through it, and a session's stream
+    maintainer compiles through the same one; :meth:`stats` reports the
+    compile hit rate for the benchmarks.
     """
 
     def __init__(self) -> None:
         self._compiled: OrderedDict[str, CompiledQuery] = OrderedDict()
+        #: Precompiled wire forms -> their canonical QList.
+        self._interned: OrderedDict[tuple, QList] = OrderedDict()
+        #: Tuples of canonical QLists (hashed by identity) -> plan.
+        self._planned: OrderedDict[tuple, BatchPlan] = OrderedDict()
         #: A coordinator compiles on several worker threads at once.
         self._lock = threading.Lock()
         self.hits = 0
@@ -88,16 +121,51 @@ class QueryCache:
         qlist = build_qlist(normalized, source=text)
         compiled = CompiledQuery(text=text, ast=ast, normalized=normalized, qlist=qlist)
         with self._lock:
-            self._compiled[text] = compiled
-            while len(self._compiled) > QUERY_CACHE_SIZE:
-                self._compiled.popitem(last=False)
-        return compiled
+            return _bounded_put(self._compiled, text, compiled, QUERY_CACHE_SIZE)
 
-    def qlist(self, query: Union[str, QList]) -> QList:
-        """Coerce a query (text or pre-compiled QList) to its QList."""
+    def qlist(self, query: _WireOrQuery) -> QList:
+        """Coerce a query to its canonical QList.
+
+        A text compiles through :meth:`compile`; a QList passes through
+        unchanged; a ``("qlist", entries)`` wire form is interned by its
+        entries, so a client resending a precompiled query gets the
+        same object back (and with it the same plan).  A malformed wire
+        form raises ``ValueError`` / ``TypeError``.
+        """
         if isinstance(query, QList):
             return query
-        return self.compile(query).qlist
+        if isinstance(query, str):
+            return self.compile(query).qlist
+        tag, entries = query
+        if tag != "qlist":
+            raise ValueError(f"unknown query tag {tag!r}")
+        key = tuple((op, value, tuple(args)) for op, value, args in entries)
+        with self._lock:
+            qlist = self._interned.get(key)
+            if qlist is not None:
+                self._interned.move_to_end(key)
+                return qlist
+        qlist = QList.from_obj(key)
+        with self._lock:
+            return _bounded_put(self._interned, key, qlist, QUERY_CACHE_SIZE)
+
+    def lookup_plan(self, queries: Sequence[_WireOrQuery]) -> tuple[BatchPlan, bool]:
+        """The batch's plan, and whether it was already planned.
+
+        Planning is deterministic, so a batch of the same canonical
+        QLists gets the very plan object it got before -- and with it a
+        combined QList whose wire form, byte size and fingerprint are
+        already worked out.
+        """
+        qlists = tuple(self.qlist(query) for query in queries)
+        with self._lock:
+            plan = self._planned.get(qlists)
+            if plan is not None:
+                self._planned.move_to_end(qlists)
+                return plan, True
+        plan = plan_batch(qlists)
+        with self._lock:
+            return _bounded_put(self._planned, qlists, plan, PLAN_CAP), False
 
     def __len__(self) -> int:
         return len(self._compiled)
@@ -106,13 +174,14 @@ class QueryCache:
         return text in self._compiled
 
     def stats(self) -> dict:
-        """Hit/miss counters plus the resident compiled-query count."""
+        """Compile hit/miss counters, resident texts and planned batches."""
         total = self.hits + self.misses
         return {
             "entries": len(self._compiled),
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": self.hits / total if total else 0.0,
+            "plans": len(self._planned),
         }
 
 
@@ -264,6 +333,7 @@ __all__ = [
     "CompiledQuery",
     "QueryCache",
     "QUERY_CACHE_SIZE",
+    "PLAN_CAP",
     "BatchPlan",
     "plan_batch",
     "coerce_plan",

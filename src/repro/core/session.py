@@ -26,14 +26,12 @@ The session surface is intentionally small::
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.boolexpr.compose import FormulaAlgebra
 from repro.core.engine import Engine
-from repro.core.plan import BatchPlan, QueryCache, plan_batch
+from repro.core.plan import BatchPlan, QueryCache
 from repro.distsim.cluster import Cluster
 from repro.distsim.executors import SiteExecutor
 from repro.distsim.metrics import BatchResult, EvalResult, QueryCost
@@ -43,10 +41,6 @@ from repro.obs import trace as obs_trace
 from repro.xpath.qlist import QList
 
 Query = Union[str, QList]
-
-#: Plans a session keeps (least recently used goes first): a standing
-#: book of a few dozen batches stays planned.
-PLAN_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -130,10 +124,6 @@ class QuerySession:
         # Not `cache or ...`: a shared cache that is still empty is
         # falsy (it has a __len__) but must still be adopted.
         self.cache = cache if cache is not None else QueryCache()
-        #: Planned batches by their compiled queries (QLists hash by
-        #: identity, and the cache hands one object per text).
-        self._plans: OrderedDict[tuple, BatchPlan] = OrderedDict()
-        self._plan_lock = threading.Lock()
         if isinstance(engine, Engine):
             # A pre-built engine already fixed its algebra, trace and
             # executor; silently ignoring these knobs would make the
@@ -200,23 +190,12 @@ class QuerySession:
     def plan(self, queries: Sequence[Query]) -> BatchPlan:
         """Plan a batch without evaluating it (inspection, tests).
 
-        A batch of the same compiled queries gets the plan it got
-        before (the last :data:`PLAN_CAP` are kept), and with it one
-        combined QList whose wire form, byte size and fingerprint are
-        already worked out.
+        Plans through the session's cache, so a batch of the same
+        compiled queries gets the plan it got before -- from this
+        session or any other caller sharing the cache (see
+        :meth:`~repro.core.plan.QueryCache.lookup_plan`).
         """
-        qlists = tuple(self.cache.qlist(query) for query in queries)
-        with self._plan_lock:
-            plan = self._plans.get(qlists)
-            if plan is not None:
-                self._plans.move_to_end(qlists)
-                return plan
-        plan = plan_batch(qlists)
-        with self._plan_lock:
-            self._plans[qlists] = plan
-            while len(self._plans) > PLAN_CAP:
-                self._plans.popitem(last=False)
-        return plan
+        return self.cache.lookup_plan(queries)[0]
 
     # ------------------------------------------------------------------
     # Evaluation

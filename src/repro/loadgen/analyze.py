@@ -38,7 +38,6 @@ FACTORS = (
     "fragments",
     "engine",
     "executor",
-    "coordinators",
     "batch_size",
     "arrival_rate",
 )
@@ -52,7 +51,6 @@ SHED_SLACK = 0.02
 
 _INT_COLUMNS = (
     "fragments",
-    "coordinators",
     "batch_size",
     "repetition",
     "seed",

@@ -51,7 +51,6 @@ RUN_TABLE_COLUMNS = (
     "fragments",
     "engine",
     "executor",
-    "coordinators",
     "batch_size",
     "arrival_rate",
     "arrival",
@@ -73,9 +72,6 @@ RUN_TABLE_COLUMNS = (
     "shed_rate",
     "bytes_on_wire",
     "max_lag_s",
-    "coordinator_requests",
-    "coordinator_rps",
-    "coordinator_shed",
 )
 
 #: Latency buckets for the percentile estimate: finer than the serving
@@ -125,56 +121,8 @@ def latency_percentiles_ms(
     }
 
 
-def _join_counts(counts: Dict[str, float], fmt: str = "{:g}") -> str:
-    """``c0=5;c1=5`` -- per-coordinator counts as one stable CSV cell."""
-    return ";".join(
-        f"{name}={fmt.format(counts[name])}" for name in sorted(counts)
-    )
-
-
-def coordinator_deltas(
-    before: Dict[str, object], after: Dict[str, object]
-) -> tuple[Dict[str, float], Dict[str, float]]:
-    """Per-coordinator ``(served, rejected)`` reply deltas between scrapes.
-
-    Reads the gateway's ``gateway_coordinator_replies_total`` series.
-    ``served`` counts ``status=ok`` replies; ``rejected`` counts every
-    post-admission rejection the coordinator returned (bad requests,
-    overload, unavailability).  Gateway-level sheds happen *before*
-    routing, so they never appear here -- they live in the aggregate
-    ``shed`` column only.
-    """
-
-    def flat(snapshot: Dict[str, object]) -> Dict[str, float]:
-        entry = snapshot.get("gateway_coordinator_replies_total", {})
-        return dict(entry.get("values", {}))
-
-    prior = flat(before)
-    served: Dict[str, float] = {}
-    rejected: Dict[str, float] = {}
-    for label, value in flat(after).items():
-        delta = value - prior.get(label, 0.0)
-        if delta <= 0:
-            continue
-        labels = dict(item.split("=", 1) for item in label.split(",") if "=" in item)
-        name = labels.get("coordinator", "?")
-        bucket = served if labels.get("status") == "ok" else rejected
-        bucket[name] = bucket.get(name, 0.0) + delta
-    return served, rejected
-
-
-def summarize_run(
-    spec: RunSpec,
-    records: Sequence[RequestRecord],
-    coordinator_replies: Optional[tuple] = None,
-) -> Dict[str, object]:
-    """One ``run_table.csv`` row from a run's request records.
-
-    ``coordinator_replies`` is the optional ``(served, rejected)`` pair
-    from :func:`coordinator_deltas`; when given, the per-coordinator
-    throughput/shed columns are filled from the server's own account of
-    the run.
-    """
+def summarize_run(spec: RunSpec, records: Sequence[RequestRecord]) -> Dict[str, object]:
+    """One ``run_table.csv`` row from a run's request records."""
     served = [record for record in records if record.status in SERVED]
     sheds = sum(1 for record in records if record.status == "shed")
     unavailable = sum(1 for record in records if record.status == "unavailable")
@@ -187,7 +135,7 @@ def summarize_run(
         duration = 0.0
     duration = max(duration, 1e-9)
     percentiles = latency_percentiles_ms([record.latency_s for record in served])
-    row: Dict[str, object] = {
+    return {
         "run_id": spec.run_id,
         "scale": spec.scale,
         **spec.factor_levels(),
@@ -209,22 +157,7 @@ def summarize_run(
         "shed_rate": round(sheds / len(records), 4) if records else 0.0,
         "bytes_on_wire": sum(record.ledger_bytes for record in served),
         "max_lag_s": round(max((record.lag_s for record in records), default=0.0), 6),
-        "coordinator_requests": "",
-        "coordinator_rps": "",
-        "coordinator_shed": "",
     }
-    if coordinator_replies is not None:
-        served_by, rejected_by = coordinator_replies
-        totals = dict(rejected_by)
-        for name, count in served_by.items():
-            totals[name] = totals.get(name, 0.0) + count
-        row["coordinator_requests"] = _join_counts(totals)
-        row["coordinator_rps"] = _join_counts(
-            {name: count / duration for name, count in served_by.items()},
-            fmt="{:.3f}",
-        )
-        row["coordinator_shed"] = _join_counts(rejected_by)
-    return row
 
 
 def _scrape(tier: ServingCluster) -> Dict[str, object]:
@@ -262,7 +195,6 @@ def execute_run(
         default_engine=spec.engine,
         max_inflight=max_inflight,
         max_queue=max_queue,
-        coordinators=spec.coordinators,
     )
     with tier:
         if site_delay:
@@ -285,9 +217,7 @@ def execute_run(
     store = SpanStore()
     store.ingest_wire(spans)
     (run_dir / "spans.json").write_text(store.export_json(indent=2))
-    return summarize_run(
-        spec, records, coordinator_replies=coordinator_deltas(metrics_before, metrics_after)
-    )
+    return summarize_run(spec, records)
 
 
 def write_run_table(rows: Sequence[Dict[str, object]], path: Path) -> Path:
@@ -337,7 +267,6 @@ def execute_table(
 __all__ = [
     "LATENCY_BUCKETS",
     "RUN_TABLE_COLUMNS",
-    "coordinator_deltas",
     "execute_run",
     "execute_table",
     "latency_percentiles_ms",

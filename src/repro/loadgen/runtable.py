@@ -2,8 +2,7 @@
 
 Modeled on muBench-style replication packages: an experiment is *declared*
 up front as a cartesian product of factors (topology family x fragment
-count x engine x executor x coordinator pool size x batch size x
-arrival rate) with explicit
+count x engine x executor x batch size x arrival rate) with explicit
 repetitions, then executed run by run.  Each run gets a **stable,
 human-readable run id** that encodes every factor level, and a **seed
 derived deterministically from that id** -- two executions of the same
@@ -25,11 +24,6 @@ Factor semantics over the serving tier:
   serial/threads/process executors of the in-process engines do not
   apply here -- the coordinator always dispatches sites through its
   ``RemoteSiteExecutor``.
-* ``coordinators`` sizes the gateway's coordinator pool (scale-out
-  serving): requests hash-route across the pool, so pool size 2 splits
-  standing queries over two warm plan caches and two sets of site
-  links.  On a single-core host the two pools time-share one CPU --
-  the factor then measures routing overhead, not parallel speedup.
 * ``arrival_rate`` is the *open-loop* target (requests/second scheduled
   by target time), never a closed-loop RPS knob; see
   :mod:`repro.loadgen.client`.
@@ -78,7 +72,6 @@ class RunSpec:
     seed: int
     total_mb: float
     nodes_per_mb: int
-    coordinators: int = 1
 
     def factor_levels(self) -> Dict[str, object]:
         """The factor columns, as they appear in ``run_table.csv``."""
@@ -87,7 +80,6 @@ class RunSpec:
             "fragments": self.fragments,
             "engine": self.engine,
             "executor": self.executor,
-            "coordinators": self.coordinators,
             "batch_size": self.batch_size,
             "arrival_rate": self.arrival_rate,
             "arrival": self.arrival,
@@ -113,11 +105,10 @@ def make_run_id(
     arrival_rate: float,
     arrival: str,
     repetition: int,
-    coordinators: int = 1,
 ) -> str:
     """The canonical run id: every factor level, readable and greppable."""
     return (
-        f"{topology}-f{fragments}-{engine}-{executor}-c{coordinators}"
+        f"{topology}-f{fragments}-{engine}-{executor}"
         f"-b{batch_size}-r{arrival_rate:g}-{arrival}-rep{repetition}"
     )
 
@@ -138,7 +129,6 @@ class RunTable:
     fragments: Tuple[int, ...] = (3,)
     engines: Tuple[str, ...] = ("parbox",)
     executors: Tuple[str, ...] = ("inline",)
-    coordinators: Tuple[int, ...] = (1,)
     batch_sizes: Tuple[int, ...] = (2,)
     arrival_rates: Tuple[float, ...] = (30.0,)
     arrival: str = "poisson"
@@ -176,8 +166,6 @@ class RunTable:
             raise ValueError("arrival rates must be > 0")
         if any(batch < 1 for batch in self.batch_sizes):
             raise ValueError("batch sizes must be >= 1")
-        if any(pool < 1 for pool in self.coordinators):
-            raise ValueError("coordinator pool sizes must be >= 1")
 
     def __len__(self) -> int:
         return (
@@ -185,7 +173,6 @@ class RunTable:
             * len(self.fragments)
             * len(self.engines)
             * len(self.executors)
-            * len(self.coordinators)
             * len(self.batch_sizes)
             * len(self.arrival_rates)
             * self.repetitions
@@ -196,38 +183,35 @@ class RunTable:
             for fragments in self.fragments:
                 for engine in self.engines:
                     for executor in self.executors:
-                        for pool in self.coordinators:
-                            for batch_size in self.batch_sizes:
-                                for rate in self.arrival_rates:
-                                    for rep in range(self.repetitions):
-                                        run_id = make_run_id(
-                                            topology,
-                                            fragments,
-                                            engine,
-                                            executor,
-                                            batch_size,
-                                            rate,
-                                            self.arrival,
-                                            rep,
-                                            coordinators=pool,
-                                        )
-                                        yield RunSpec(
-                                            run_id=run_id,
-                                            scale=self.scale,
-                                            topology=topology,
-                                            fragments=fragments,
-                                            engine=engine,
-                                            executor=executor,
-                                            batch_size=batch_size,
-                                            arrival_rate=rate,
-                                            arrival=self.arrival,
-                                            requests=self.requests,
-                                            repetition=rep,
-                                            seed=derive_seed(run_id, self.base_seed),
-                                            total_mb=self.total_mb,
-                                            nodes_per_mb=self.nodes_per_mb,
-                                            coordinators=pool,
-                                        )
+                        for batch_size in self.batch_sizes:
+                            for rate in self.arrival_rates:
+                                for rep in range(self.repetitions):
+                                    run_id = make_run_id(
+                                        topology,
+                                        fragments,
+                                        engine,
+                                        executor,
+                                        batch_size,
+                                        rate,
+                                        self.arrival,
+                                        rep,
+                                    )
+                                    yield RunSpec(
+                                        run_id=run_id,
+                                        scale=self.scale,
+                                        topology=topology,
+                                        fragments=fragments,
+                                        engine=engine,
+                                        executor=executor,
+                                        batch_size=batch_size,
+                                        arrival_rate=rate,
+                                        arrival=self.arrival,
+                                        requests=self.requests,
+                                        repetition=rep,
+                                        seed=derive_seed(run_id, self.base_seed),
+                                        total_mb=self.total_mb,
+                                        nodes_per_mb=self.nodes_per_mb,
+                                    )
 
     def run_ids(self) -> Tuple[str, ...]:
         return tuple(spec.run_id for spec in self.specs())
@@ -240,7 +224,6 @@ class RunTable:
             f"  fragments x {list(self.fragments)}",
             f"  engine x {list(self.engines)}",
             f"  executor x {list(self.executors)}",
-            f"  coordinators x {list(self.coordinators)}",
             f"  batch_size x {list(self.batch_sizes)}",
             f"  arrival_rate x {list(self.arrival_rates)}",
             f"  repetitions x {self.repetitions}",
@@ -263,10 +246,9 @@ def quick_table(**overrides) -> RunTable:
     """The CI-budget preset: 4 runs, inline sites, one engine.
 
     Small enough that the whole table (boot + load + scrape per run)
-    finishes in about a minute, yet still factorial -- topology family,
-    coordinator pool size and arrival rate all vary, so ``analyze`` has
-    per-factor deltas to compute and the regression gate covers two
-    load levels and both pool sizes.
+    finishes in about a minute, yet still factorial -- topology family
+    and arrival rate both vary, so ``analyze`` has per-factor deltas to
+    compute and the regression gate covers two load levels.
     """
     params = dict(
         scale="quick",
@@ -274,7 +256,6 @@ def quick_table(**overrides) -> RunTable:
         fragments=(3,),
         engines=("parbox",),
         executors=("inline",),
-        coordinators=(1, 2),
         batch_sizes=(2,),
         arrival_rates=(30.0, 60.0),
         arrival="poisson",
@@ -289,14 +270,13 @@ def quick_table(**overrides) -> RunTable:
 
 
 def default_table(**overrides) -> RunTable:
-    """The full factorial: 64 runs across every axis (minutes, local)."""
+    """The full factorial: 32 runs across every axis (minutes, local)."""
     params = dict(
         scale="default",
         topologies=("star", "chain"),
         fragments=(3, 6),
         engines=("parbox", "fulldist"),
         executors=("inline", "process"),
-        coordinators=(1, 2),
         batch_sizes=(2, 8),
         arrival_rates=(40.0,),
         arrival="poisson",
@@ -336,7 +316,6 @@ def spec_from_row(row: Dict[str, object]) -> RunSpec:
         "repetition",
         "seed",
         "nodes_per_mb",
-        "coordinators",
     )
     floats = ("arrival_rate", "total_mb")
     for name in ints:

@@ -232,11 +232,6 @@ class NetEngine:
         #: ``repro.obs.trace.Span.from_wire`` + ``render_spans``).
         self.trace_batches = False
         self.last_spans: tuple = ()
-        #: Name of the coordinator that served the latest batch (from
-        #: the reply details; ``""`` before the first reply or against
-        #: a pre-scale-out gateway).  The routing stickiness tests and
-        #: the load harness read this instead of re-parsing details.
-        self.last_coordinator = ""
         self._client: Optional[GatewayClient] = None
         self._closed = False
 
@@ -272,7 +267,6 @@ class NetEngine:
             self.last_spans = reply.spans
         metrics = metrics_from_wire(reply.metrics_obj)
         details = dict(reply.details)
-        self.last_coordinator = str(details.get("coordinator", ""))
         details["transport"] = "net"
         details["gateway"] = f"{self.host}:{self.port}"
         return BatchResult(

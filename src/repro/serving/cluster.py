@@ -147,9 +147,6 @@ class ServingCluster:
         max_queue: int = 8,
         site_timeout: float = 10.0,
         default_engine: str = "parbox",
-        coordinators: int = 1,
-        max_workers: Optional[int] = None,
-        routing: str = "hash",
         proxy_factory: Optional[Callable] = None,
     ) -> None:
         if replicas < 1:
@@ -165,9 +162,6 @@ class ServingCluster:
         self.max_queue = max_queue
         self.site_timeout = site_timeout
         self.default_engine = default_engine
-        self.coordinators = coordinators
-        self.max_workers = max_workers
-        self.routing = routing
         #: ``proxy_factory(site_id, target_host, target_port)`` returns
         #: an object with ``host``/``port`` attributes and async
         #: ``start()``/``stop()``; the coordinator is pointed at the
@@ -258,9 +252,6 @@ class ServingCluster:
                 max_queue=self.max_queue,
                 site_timeout=self.site_timeout,
                 default_engine=self.default_engine,
-                coordinators=self.coordinators,
-                max_workers=self.max_workers,
-                routing=self.routing,
             )
             self.run(self.gateway.start())
         except BaseException:

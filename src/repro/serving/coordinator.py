@@ -38,11 +38,11 @@ import asyncio
 import itertools
 import logging
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.core.plan import BatchPlan, QueryCache, plan_batch
+from repro.core.plan import BatchPlan, QueryCache
 from repro.distsim.cluster import Cluster
 from repro.distsim.executors import (
     SiteExecutor,
@@ -75,7 +75,6 @@ from repro.serving.protocol import (
     read_message,
     write_message,
 )
-from repro.xpath.parser import QueryParseError
 from repro.xpath.qlist import QList
 
 logger = logging.getLogger("repro.serving.coordinator")
@@ -87,12 +86,6 @@ SERVABLE_ENGINES = ("parbox", "fulldist", "lazy", "hybrid")
 
 #: Default per-attempt deadline for one site request.
 DEFAULT_SITE_TIMEOUT = 10.0
-
-#: Bound on a coordinator's compiled-plan cache (distinct query batches,
-#: LRU).  Standing/subscription workloads fit in a handful of entries;
-#: the bound only exists so an adversarial stream of unique batches
-#: cannot grow coordinator memory without limit.
-PLAN_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -282,14 +275,10 @@ class Coordinator:
         site_timeout: float = DEFAULT_SITE_TIMEOUT,
         connect_timeout: float = 5.0,
         registry: Optional[MetricsRegistry] = None,
-        name: str = "c0",
     ) -> None:
         missing = set(cluster.source_tree().sites()) - set(endpoints)
         if missing:
             raise ValueError(f"no endpoint configured for site(s) {sorted(missing)}")
-        #: Pool-unique name (``c0``, ``c1``, ...): the label new
-        #: per-coordinator metric series and reply details carry.
-        self.name = name
         self.cluster = cluster
         self.endpoints = {site: tuple(eps) for site, eps in endpoints.items()}
         self.site_timeout = site_timeout
@@ -310,18 +299,19 @@ class Coordinator:
         #: one evaluate() call; RemoteSiteExecutor.run_jobs runs on the
         #: same worker thread, so it reads the batch's context here.
         self._trace_local = threading.local()
+        #: Compiles and plans every batch: a resent batch gets the plan
+        #: object it got before (plans are frozen dataclasses over
+        #: immutable QLists, so one serves concurrent worker threads).
         self.cache = QueryCache()
-        #: Compiled-plan cache: request wire form -> ready BatchPlan.
-        #: A hit skips ``_coerce_query`` re-validation *and* the batch
-        #: planner; plans are frozen dataclasses over immutable QLists,
-        #: so one plan object serves concurrent worker threads.
-        self._plan_cache: OrderedDict[tuple, BatchPlan] = OrderedDict()
-        self._plan_lock = threading.Lock()
-        self._plan_events = self.registry.counter(
+        # The fixed ``coordinator="c0"`` label keeps the series the
+        # end-to-end benchmark and dashboards key on.
+        plan_events = self.registry.counter(
             "coordinator_plan_cache_total",
             "Compiled-plan cache lookups by coordinator and result",
             labelnames=("coordinator", "result"),
         )
+        self._plan_hits = plan_events.labels(coordinator="c0", result="hit")
+        self._plan_misses = plan_events.labels(coordinator="c0", result="miss")
         #: What the sites report per reply (same series name as on a
         #: site server's own registry, so ``repro top`` reads either).
         results_total = self.registry.counter(
@@ -583,79 +573,26 @@ class Coordinator:
         return engine
 
     def _coerce_query(self, query: Union[str, tuple]) -> QList:
-        if isinstance(query, str):
-            try:
-                return self.cache.qlist(query)
-            except QueryParseError as error:
-                raise RemoteQueryError(f"bad query {query!r}: {error}") from None
+        """One client query -> its canonical QList, or a typed rejection."""
         try:
-            tag, obj = query
-            if tag != "qlist":
-                raise ValueError(f"unknown query tag {tag!r}")
-            return QList.from_obj([list(entry) for entry in obj])
-        except RemoteQueryError:
-            raise
-        except Exception as error:  # noqa: BLE001 - typed toward the client
+            return self.cache.qlist(query)
+        except (TypeError, ValueError) as error:
+            if isinstance(query, str):
+                raise RemoteQueryError(f"bad query {query!r}: {error}") from None
             raise RemoteQueryError(f"undecodable precompiled query: {error}") from None
 
-    @staticmethod
-    def _plan_key(queries: Sequence[Union[str, tuple]]) -> Optional[tuple]:
-        """A hashable canonical form of a request's query batch.
-
-        ``None`` marks the batch uncachable (malformed shapes fall
-        through to ``_coerce_query``, whose typed bad-request error
-        must not be pre-empted by cache plumbing).
-        """
-        key = []
-        for query in queries:
-            if isinstance(query, str):
-                key.append(query)
-                continue
-            try:
-                tag, obj = query
-                key.append((str(tag), tuple(tuple(entry) for entry in obj)))
-            except (TypeError, ValueError):
-                return None
-        return tuple(key)
-
     def _plan_for(self, queries: Sequence[Union[str, tuple]]) -> BatchPlan:
-        """Plan a request batch through the LRU compiled-plan cache.
+        """Check a request batch, then plan it through the shared cache.
 
-        A hit returns the previously planned ``BatchPlan`` without
-        re-validating (or re-planning) anything -- the steady-state
-        path for standing queries, whose batches arrive bit-identical
-        request after request.  Lookups count into
+        Every query is coerced first, so a bad text or an undecodable
+        precompiled query is a typed bad-request before any lookup.
+        Standing batches arrive bit-identical request after request and
+        hit; each request counts one hit or one miss into
         ``coordinator_plan_cache_total{coordinator,result}``.
         """
-        key = self._plan_key(queries)
-        if key is not None:
-            try:
-                with self._plan_lock:
-                    plan = self._plan_cache.get(key)
-                    if plan is not None:
-                        self._plan_cache.move_to_end(key)
-            except TypeError:  # unhashable entry contents: uncachable
-                key = None
-                plan = None
-            if plan is not None:
-                self._plan_events.labels(coordinator=self.name, result="hit").inc()
-                return plan
-        plan = plan_batch([self._coerce_query(query) for query in queries])
-        self._plan_events.labels(coordinator=self.name, result="miss").inc()
-        if key is not None:
-            with self._plan_lock:
-                self._plan_cache[key] = plan
-                while len(self._plan_cache) > PLAN_CACHE_SIZE:
-                    self._plan_cache.popitem(last=False)
+        plan, hit = self.cache.lookup_plan([self._coerce_query(query) for query in queries])
+        (self._plan_hits if hit else self._plan_misses).inc()
         return plan
-
-    def plan_cache_stats(self) -> dict:
-        """Hit/miss/entry counts of the compiled-plan cache (tests, CLI)."""
-        hits = self._plan_events.labels(coordinator=self.name, result="hit").value
-        misses = self._plan_events.labels(coordinator=self.name, result="miss").value
-        with self._plan_lock:
-            entries = len(self._plan_cache)
-        return {"entries": entries, "hits": int(hits), "misses": int(misses)}
 
     def evaluate(
         self,
@@ -738,7 +675,6 @@ class RemoteSiteExecutor(SiteExecutor):
 __all__ = [
     "SERVABLE_ENGINES",
     "DEFAULT_SITE_TIMEOUT",
-    "PLAN_CACHE_SIZE",
     "SiteEndpoint",
     "SiteLink",
     "Coordinator",

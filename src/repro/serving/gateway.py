@@ -1,4 +1,4 @@
-"""The front-door gateway: many client sessions, a coordinator pool.
+"""The front-door gateway: many client sessions, one coordinator.
 
 One asyncio TCP server multiplexing concurrent
 :class:`~repro.core.session.QuerySession` clients.  Each accepted
@@ -7,35 +7,19 @@ worker-thread pool (the engine's evaluation is synchronous CPU work and
 the :class:`~repro.serving.coordinator.RemoteSiteExecutor` *blocks* its
 thread while site replies stream in -- running it on the event loop
 would deadlock the loop against itself), while the loop thread stays
-free for frame I/O and the coordinators' site links.
+free for frame I/O and the coordinator's site links.
 
-Scale-out: the gateway owns ``coordinators`` independent
-:class:`~repro.serving.coordinator.Coordinator` instances (``c0`` ...
-``cN-1``), each with its own site links, engine pool and compiled-plan
-cache, and routes every request to one of them:
-
-* ``"hash"`` (default) -- consistent hash of the request's plan
-  fingerprint over a :class:`~repro.serving.routing.HashRing`, so a
-  repeated/standing query batch always lands on the same coordinator
-  and its warm plan + warm site state; unhashable batches fall back to
-  least-inflight;
-* ``"least"`` -- always the coordinator with the fewest requests in
-  flight (ties by name): spreads one-off traffic evenly;
-* ``"skew"`` -- everything to ``c0``: a test policy, the worst case
-  the routing differential suite pins answers under.
-
-Routing never affects answers, only placement of the coordination
-work; per-coordinator in-flight counts feed both the fallback routing
-and the admission limit (the global in-flight figure *is* their sum).
+Every request goes to the one
+:class:`~repro.serving.coordinator.Coordinator`, as in the paper: one
+site broadcasts the query, collects the triplets and solves the
+equations.
 
 Admission control is a bounded in-flight queue: ``max_inflight``
-requests evaluate concurrently, up to ``max_queue`` more wait, and
-anything beyond that is shed immediately with a typed
-``Rejected(overloaded)`` -- the client sees
+requests evaluate concurrently (on as many worker threads), up to
+``max_queue`` more wait, and anything beyond that is shed immediately
+with a typed ``Rejected(overloaded)`` -- the client sees
 :class:`~repro.serving.protocol.Overloaded`, never an unbounded queue.
-``max_workers`` sizes the evaluation thread pool independently of the
-admission limit (it defaults to ``max_inflight``, the historical
-coupling).  Failures map to typed rejections the same way: a site that
+Failures map to typed rejections the same way: a site that
 stayed dead through the retry becomes ``Rejected(site-unavailable)``, a
 malformed query becomes ``Rejected(bad-request)``, anything unexpected
 becomes ``Rejected(internal)`` -- the connection always gets an answer
@@ -56,7 +40,6 @@ from repro.obs.logging import emit as obs_emit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanStore, SpanTimer, TraceContext
 from repro.serving.coordinator import Coordinator, SiteEndpoint
-from repro.serving.routing import HashRing, plan_fingerprint
 from repro.serving.protocol import (
     ERR_BAD_REQUEST,
     ERR_INTERNAL,
@@ -91,12 +74,8 @@ def _plain_details(details: dict) -> dict:
     }
 
 
-#: Routing policies the gateway accepts.
-ROUTING_POLICIES = ("hash", "least", "skew")
-
-
 class Gateway:
-    """Front door: accepts client sessions, shields the coordinators."""
+    """Front door: accepts client sessions, shields the coordinator."""
 
     def __init__(
         self,
@@ -109,50 +88,23 @@ class Gateway:
         max_queue: int = 8,
         site_timeout: float = 10.0,
         default_engine: str = "parbox",
-        coordinators: int = 1,
-        max_workers: Optional[int] = None,
-        routing: str = "hash",
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
         if max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if coordinators < 1:
-            raise ValueError("coordinators must be >= 1")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(f"unknown routing {routing!r}; choose from {list(ROUTING_POLICIES)}")
         self.host = host
         self.port = port  # 0 until started when OS-assigned
         self.max_inflight = max_inflight
         self.max_queue = max_queue
-        #: Evaluation threads, decoupled from the admission limit (the
-        #: historical default ties them together).
-        self.max_workers = max_workers if max_workers is not None else max_inflight
         self.default_engine = default_engine
-        self.routing = routing
-        #: One registry for the whole serving process: every coordinator
+        #: One registry for the whole serving process: the coordinator
         #: records its dispatch events into it too, so a single
-        #: MetricsReply covers admission, routing, dispatch, and latency.
+        #: MetricsReply covers admission, dispatch, and latency.
         self.registry = MetricsRegistry("gateway")
-        self.coordinators: tuple[Coordinator, ...] = tuple(
-            Coordinator(
-                cluster,
-                endpoints,
-                site_timeout=site_timeout,
-                registry=self.registry,
-                name=f"c{index}",
-            )
-            for index in range(coordinators)
+        self.coordinator = Coordinator(
+            cluster, endpoints, site_timeout=site_timeout, registry=self.registry
         )
-        #: Back-compat alias: the pool's first member (the whole tier is
-        #: this one coordinator at the default ``coordinators=1``).
-        self.coordinator = self.coordinators[0]
-        self._by_name = {c.name: c for c in self.coordinators}
-        self._ring = HashRing([c.name for c in self.coordinators])
-        #: Per-coordinator requests in flight; admission reads their sum.
-        self.coordinator_inflight: dict[str, int] = {c.name: 0 for c in self.coordinators}
         #: Requests accepted but not yet replied to (admission control).
         self.inflight = 0
         #: Requests shed by admission control (the overload tests read this).
@@ -172,21 +124,6 @@ class Gateway:
         self._latency = self.registry.histogram(
             "gateway_request_seconds", "Admission-to-reply latency of served batches"
         )
-        self._routed_total = self.registry.counter(
-            "gateway_routed_total",
-            "Admitted requests by coordinator and routing policy",
-            labelnames=("coordinator", "policy"),
-        )
-        self._coordinator_inflight_gauge = self.registry.gauge(
-            "gateway_coordinator_inflight",
-            "Admitted batches in flight per coordinator",
-            labelnames=("coordinator",),
-        )
-        self._coordinator_replies_total = self.registry.counter(
-            "gateway_coordinator_replies_total",
-            "Replies by coordinator and outcome",
-            labelnames=("coordinator", "status"),
-        )
         #: Bounded store of every span the gateway saw (its own roots,
         #: coordinator dispatches, site executions) -- `repro trace` fuel.
         self.spans = SpanStore()
@@ -201,11 +138,9 @@ class Gateway:
     async def start(self) -> "Gateway":
         if self._server is not None:
             raise RuntimeError("gateway already started")
-        loop = asyncio.get_running_loop()
-        for coordinator in self.coordinators:
-            coordinator.bind_loop(loop)
+        self.coordinator.bind_loop(asyncio.get_running_loop())
         self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-gateway"
+            max_workers=self.max_inflight, thread_name_prefix="repro-gateway"
         )
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -229,8 +164,7 @@ class Gateway:
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-        for coordinator in self.coordinators:
-            await coordinator.aclose()
+        await self.coordinator.aclose()
         logger.info("gateway stopped")
 
     @property
@@ -280,30 +214,6 @@ class Gateway:
             self._writers.discard(writer)
             writer.transport.abort()
 
-    def _route(self, request: QueryRequest) -> tuple[Coordinator, str]:
-        """Pick the coordinator for one admitted request.
-
-        Hash routing keys on the plan fingerprint so identical batches
-        stick to one coordinator (warm plan cache, warm site links);
-        anything unhashable -- and the ``"least"`` policy always --
-        goes to the fewest-in-flight coordinator, ties broken by name
-        so the choice is deterministic.  ``"skew"`` pins everything on
-        ``c0`` (the routing differential tests' worst case).
-        """
-        if len(self.coordinators) == 1:
-            return self.coordinator, self.routing
-        if self.routing == "skew":
-            return self.coordinator, "skew"
-        if self.routing == "hash":
-            fingerprint = plan_fingerprint(request.queries)
-            if fingerprint is not None:
-                return self._by_name[self._ring.route(fingerprint)], "hash"
-        name = min(
-            self.coordinator_inflight,
-            key=lambda candidate: (self.coordinator_inflight[candidate], candidate),
-        )
-        return self._by_name[name], "least"
-
     def _admit(
         self, request: QueryRequest, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
     ) -> None:
@@ -327,46 +237,30 @@ class Gateway:
             )
             task = asyncio.ensure_future(self._reply(writer, write_lock, rejection))
         else:
-            coordinator, policy = self._route(request)
-            self._routed_total.labels(coordinator=coordinator.name, policy=policy).inc()
             self.inflight += 1
-            self.coordinator_inflight[coordinator.name] += 1
             self._inflight_gauge.set(self.inflight)
-            self._coordinator_inflight_gauge.labels(coordinator=coordinator.name).set(
-                self.coordinator_inflight[coordinator.name]
-            )
-            task = asyncio.ensure_future(
-                self._serve(request, coordinator, writer, write_lock)
-            )
+            task = asyncio.ensure_future(self._serve(request, writer, write_lock))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     async def _serve(
         self,
         request: QueryRequest,
-        coordinator: Coordinator,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
         started = time.perf_counter()
         try:
-            reply = await self._evaluate(request, coordinator)
+            reply = await self._evaluate(request)
         except asyncio.CancelledError:
             raise
         finally:
             self.inflight -= 1
-            self.coordinator_inflight[coordinator.name] -= 1
             self._inflight_gauge.set(self.inflight)
-            self._coordinator_inflight_gauge.labels(coordinator=coordinator.name).set(
-                self.coordinator_inflight[coordinator.name]
-            )
         elapsed = time.perf_counter() - started
         self._latency.observe(elapsed)
         status = "ok" if isinstance(reply, QueryReply) else reply.code
         self._replies_total.labels(status=status).inc()
-        self._coordinator_replies_total.labels(
-            coordinator=coordinator.name, status=status
-        ).inc()
         obs_emit(
             "gateway",
             "request",
@@ -375,7 +269,6 @@ class Gateway:
             seconds=round(elapsed, 6),
             queries=len(request.queries),
             engine=request.engine or self.default_engine,
-            coordinator=coordinator.name,
             trace_id=request.trace[0] if request.trace else "",
         )
         try:
@@ -383,7 +276,7 @@ class Gateway:
         except (ConnectionError, OSError):  # client gone; nothing to tell it
             pass
 
-    async def _evaluate(self, request: QueryRequest, coordinator: Coordinator):
+    async def _evaluate(self, request: QueryRequest):
         engine_name = request.engine or self.default_engine
         loop = asyncio.get_running_loop()
         # A non-empty trace field opens the batch's root span here and
@@ -401,12 +294,11 @@ class Gateway:
                 request_id=request.request_id,
                 engine=engine_name,
                 queries=len(request.queries),
-                coordinator=coordinator.name,
             )
             sink = []
             trace_ctx = timer.context()
         evaluate = functools.partial(
-            coordinator.evaluate,
+            self.coordinator.evaluate,
             request.queries,
             engine_name,
             trace=trace_ctx,
@@ -432,7 +324,6 @@ class Gateway:
                 self.spans.ingest_wire(sink)
         details = _plain_details(result.details)
         details["engine"] = result.engine
-        details["coordinator"] = coordinator.name
         return QueryReply(
             request_id=request.request_id,
             answers=tuple(bool(answer) for answer in result.answers),
@@ -452,4 +343,4 @@ class Gateway:
         return f"<Gateway {self.host}:{self.port} inflight={self.inflight}>"
 
 
-__all__ = ["Gateway", "ROUTING_POLICIES"]
+__all__ = ["Gateway"]

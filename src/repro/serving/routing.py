@@ -1,25 +1,21 @@
-"""Request routing across a pool of coordinators.
+"""Batch fingerprints and a consistent-hash ring (no serving caller).
 
-The gateway's scale-out layer is deliberately tiny and deterministic:
+The gateway owns exactly one coordinator, so nothing under ``src/``
+routes requests any more: a pool of in-process coordinators measured
+as a throughput *loss* on one CPU (0.84-0.86x for 1 -> 2), and no
+routing choice can change an answer anyway (Ameloot et al.'s
+parallel-correctness, PAPERS.md).  The module stays only because the
+end-to-end benchmark's layer replay (``benchmarks/e2e/layers.py``)
+imports it when it loads, to time its ``serving.routing.route_us``
+row; it goes together with that row.
 
 * :func:`plan_fingerprint` reduces a request's query batch -- query
   texts and/or precompiled ``("qlist", entries)`` wire forms, exactly
   as they arrive in a :class:`~repro.serving.protocol.QueryRequest` --
-  to one stable 64-bit integer.  Identical batches always fingerprint
-  identically across processes and runs (``blake2b`` over a canonical
-  byte serialization, no interpreter hash randomization), which is
-  what makes routing *sticky*: a standing query lands on the same
-  coordinator every time and reuses its warm compiled plan, warm site
-  links and warm resident-site state.
-* :class:`HashRing` is a consistent-hash ring over coordinator names
-  with virtual nodes, so adding a coordinator remaps ~1/N of the key
-  space instead of reshuffling everything, and a skewed key set still
-  spreads across the pool.
-
-Correctness never depends on the routing decision -- Ameloot et al.'s
-parallel-correctness framing (PAPERS.md): any coordinator computes the
-same answers over the same placement, which the routing differential
-tests assert bitwise against the in-process oracle under every policy.
+  to one stable 64-bit integer (``blake2b`` over a canonical byte
+  serialization, no interpreter hash randomization).
+* :class:`HashRing` is a consistent-hash ring over node names with
+  virtual nodes, so adding a node remaps ~1/N of the key space.
 """
 
 from __future__ import annotations

@@ -44,9 +44,7 @@ from repro.serving.cluster import ServingCluster
 
 def tiny_table(**overrides) -> RunTable:
     """A one-run table small enough for unit tests that drive real load."""
-    params = dict(
-        requests=5, arrival_rates=(80.0,), topologies=("star",), coordinators=(1,)
-    )
+    params = dict(requests=5, arrival_rates=(80.0,), topologies=("star",))
     params.update(overrides)
     return quick_table(**params)
 
@@ -59,16 +57,15 @@ def tiny_table(**overrides) -> RunTable:
 def test_run_table_is_the_declared_factorial():
     table = quick_table()
     specs = list(table.specs())
-    assert len(specs) == len(table) == 2 * 1 * 1 * 1 * 2 * 1 * 2 * 1
+    assert len(specs) == len(table) == 2 * 1 * 1 * 1 * 1 * 2 * 1
     assert len({spec.run_id for spec in specs}) == len(specs)
-    # Ids encode every factor level (including the coordinator pool).
-    assert "star-f3-parbox-inline-c1-b2-r30-poisson-rep0" in {s.run_id for s in specs}
-    assert "star-f3-parbox-inline-c2-b2-r30-poisson-rep0" in {s.run_id for s in specs}
+    # Ids encode every factor level.
+    assert "star-f3-parbox-inline-b2-r30-poisson-rep0" in {s.run_id for s in specs}
+    assert "chain-f3-parbox-inline-b2-r60-poisson-rep0" in {s.run_id for s in specs}
     # Default scale covers every axis of the ROADMAP factorial.
     default = default_table()
-    assert len(default) == 2 * 2 * 2 * 2 * 2 * 2 * 1 * 1
+    assert len(default) == 2 * 2 * 2 * 2 * 2 * 1 * 1
     assert {spec.executor for spec in default.specs()} == {"inline", "process"}
-    assert {spec.coordinators for spec in default.specs()} == {1, 2}
 
 
 def test_run_table_rejects_unknown_levels():
@@ -80,8 +77,6 @@ def test_run_table_rejects_unknown_levels():
         quick_table(arrival="closed-loop")
     with pytest.raises(ValueError):
         quick_table(arrival_rates=(0.0,))
-    with pytest.raises(ValueError):
-        quick_table(coordinators=(0,))
 
 
 def test_same_run_id_plans_identical_schedules_and_query_mix():
@@ -221,9 +216,7 @@ def test_quick_table_answers_match_in_process_oracle():
         for spec in table.specs():
             schedule, batches = plan_for_spec(spec)
             cluster = build_cluster(spec)
-            with ServingCluster(
-                cluster, default_engine=spec.engine, coordinators=spec.coordinators
-            ) as tier:
+            with ServingCluster(cluster, default_engine=spec.engine) as tier:
                 clusters.append(tier)
                 with OpenLoopClient(
                     tier.gateway.host, tier.gateway.port, engine=spec.engine
@@ -266,27 +259,6 @@ def test_execute_run_writes_raw_artifacts(tmp_path):
     spans = json.loads((run_dir / "spans.json").read_text())
     assert spans["spans"], "trace_every=2 must sample span trees"
     assert row["requests"] == spec.requests
-
-
-def test_execute_run_fills_per_coordinator_columns(tmp_path):
-    """A two-coordinator run attributes its served requests to pool
-    members by name, straight from the gateway's own metric deltas."""
-    spec = next(iter(tiny_table(coordinators=(2,)).specs()))
-    assert spec.coordinators == 2 and "-c2-" in spec.run_id
-    with hard_deadline(120):
-        row = execute_run(spec, tmp_path, trace_every=0)
-    handled = {
-        cell.split("=")[0]: float(cell.split("=")[1])
-        for cell in str(row["coordinator_requests"]).split(";")
-        if cell
-    }
-    assert handled and set(handled) <= {"c0", "c1"}
-    # Every served request is attributed to exactly one coordinator.
-    assert sum(handled.values()) == row["ok"] + row["retried"]
-    for cell in str(row["coordinator_rps"]).split(";"):
-        if cell:
-            name, _, rate = cell.partition("=")
-            assert name in {"c0", "c1"} and float(rate) > 0
 
 
 def test_execute_table_writes_aggregate_csv(tmp_path):
@@ -342,13 +314,11 @@ def synthetic_rows():
 
 def test_factor_deltas_only_cover_varying_factors():
     deltas = factor_deltas(synthetic_rows())
-    # The quick table's axes -- now including the coordinator pool size.
-    assert set(deltas) == {"topology", "coordinators", "arrival_rate"}
+    # The quick table's axes.
+    assert set(deltas) == {"topology", "arrival_rate"}
     assert deltas["arrival_rate"]["60.0"]["throughput_rps"] == 60.0
     assert deltas["arrival_rate"]["30.0"]["throughput_rps"] == 50.0
-    assert deltas["topology"]["star"]["runs"] == 4
-    assert deltas["coordinators"]["1"]["runs"] == 4
-    assert deltas["coordinators"]["2"]["runs"] == 4
+    assert deltas["topology"]["star"]["runs"] == 2
 
 
 def test_gate_passes_against_own_baseline_and_catches_regressions():

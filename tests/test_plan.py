@@ -3,10 +3,14 @@
 import random
 import sys
 import threading
+import time
 
 import pytest
 
+from netfixtures import hard_deadline
+from repro.core import plan as plan_module
 from repro.core.plan import (
+    PLAN_CAP,
     QUERY_CACHE_SIZE,
     BatchPlan,
     QueryCache,
@@ -14,10 +18,15 @@ from repro.core.plan import (
     coerce_plan,
     plan_batch,
 )
+from repro.core.session import QuerySession
 from repro.distsim.metrics import Metrics
+from repro.serving import RemoteQueryError, ServingCluster
+from repro.serving.coordinator import Coordinator, SiteEndpoint
 from repro.xpath import compile_query
-from repro.xpath.qlist import build_qlist
+from repro.xpath.qlist import QList, build_qlist
 from repro.workloads.queries import query_of_size
+from repro.workloads.topologies import star_ft1
+from test_serving_differential import deterministic_ledger
 
 
 class TestQueryCache:
@@ -100,6 +109,77 @@ class TestQueryCache:
         assert len(cache) == cap
         assert cache.hits + cache.misses == workers * rounds  # no lost update
 
+    def test_racing_misses_on_one_text_share_one_qlist(self, monkeypatch):
+        # Threads that miss on the same text together must still get one
+        # object back: plans are keyed by QList identity.
+        workers = 8
+        barrier = threading.Barrier(workers)
+        real_build = plan_module.build_qlist
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.05)  # every thread is past its miss by now
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "build_qlist", slow_build)
+        cache = QueryCache()
+        got = []
+
+        def worker():
+            barrier.wait()
+            got.append(cache.qlist("[//stock]"))
+
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(got) == workers
+        assert len({id(qlist) for qlist in got}) == 1
+        assert got[0] is cache.qlist("[//stock]")
+        # Every racer missed; the counters stay exact.
+        assert (cache.hits, cache.misses) == (1, workers)
+
+    def test_precompiled_wire_form_interns_by_entries(self):
+        cache = QueryCache()
+        compiled = compile_query("[//stock or //broker]")
+        as_lists = ("qlist", tuple(tuple(entry) for entry in compiled.to_obj()))
+        as_tuples = ("qlist", compiled.wire_obj())
+        first = cache.qlist(as_lists)
+        assert first.entries == compiled.entries
+        assert cache.qlist(as_tuples) is first  # same entries, same object
+        assert cache.hits == 0 and cache.misses == 0  # no text involved
+        with pytest.raises(ValueError):
+            cache.qlist(("other", compiled.wire_obj()))
+        with pytest.raises(ValueError):
+            cache.qlist(("qlist", (("no-such-op", None, ()),)))
+
+    def test_racing_wire_forms_intern_one_qlist(self, monkeypatch):
+        workers = 8
+        barrier = threading.Barrier(workers)
+        real_from_obj = QList.from_obj.__func__
+
+        def slow_from_obj(cls, *args, **kwargs):
+            time.sleep(0.05)  # every thread is past its lookup by now
+            return real_from_obj(cls, *args, **kwargs)
+
+        monkeypatch.setattr(QList, "from_obj", classmethod(slow_from_obj))
+        cache = QueryCache()
+        wire = ("qlist", compile_query("[//stock or //broker]").wire_obj())
+        got = []
+
+        def worker():
+            barrier.wait()
+            got.append(cache.qlist(wire))
+
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(got) == workers
+        assert len({id(qlist) for qlist in got}) == 1
+        assert cache.qlist(wire) is got[0]
+
 
 class TestPlanBatch:
     def test_empty_batch_rejected(self):
@@ -177,7 +257,7 @@ class TestPlanBatch:
         plan = plan_batch([a, b])
         assert plan.unique_count == (1 if a.entries == b.entries else 2)
 
-    def test_coerce_plan_accepts_texts_and_plans(self):
+    def test_coerce_plan_accepts_texts_and_plan_objects(self):
         plan = coerce_plan(["[//stock]", compile_query("[//broker]")])
         assert len(plan) == 2
         assert coerce_plan(plan) is plan
@@ -250,3 +330,150 @@ class TestPlanIsEvaluatable:
             for index in range(offset, offset + length)
         )
         assert covered == list(range(len(plan.combined)))
+
+
+class TestPlanCache:
+    """The one batch -> plan LRU, on the cache every caller shares."""
+
+    @staticmethod
+    def _cluster():
+        return star_ft1(3, 0.05, seed=7, nodes_per_mb=24)
+
+    @staticmethod
+    def _coordinator(cluster):
+        # Never dispatches: planning needs no live site.
+        endpoints = {
+            site: (SiteEndpoint("127.0.0.1", 1),) for site in cluster.source_tree().sites()
+        }
+        return Coordinator(cluster, endpoints)
+
+    @staticmethod
+    def _plan_counts(coordinator):
+        values = coordinator.registry.snapshot()["coordinator_plan_cache_total"]["values"]
+        return (
+            values.get("coordinator=c0,result=hit", 0.0),
+            values.get("coordinator=c0,result=miss", 0.0),
+        )
+
+    def test_bounded_lru(self, monkeypatch):
+        assert PLAN_CAP >= 2
+        monkeypatch.setattr("repro.core.plan.PLAN_CAP", 2)
+        cache = QueryCache()
+        plans = {text: cache.lookup_plan([text]) for text in ("[//a]", "[//b]", "[//c]")}
+        assert all(hit is False for _, hit in plans.values())
+        assert cache.stats()["plans"] == 2
+        # "[//a]" was evicted; "[//b]" survives and is refreshed.
+        assert cache.lookup_plan(["[//b]"]) == (plans["[//b]"][0], True)
+        again, hit = cache.lookup_plan(["[//a]"])
+        assert not hit and again is not plans["[//a]"][0]
+        assert again.combined.entries == plans["[//a]"][0].combined.entries
+        assert cache.stats()["plans"] == 2
+        # "[//c]" was the least recent: it went, "[//b]" stayed.
+        assert cache.lookup_plan(["[//b]"])[1] is True
+        assert cache.lookup_plan(["[//c]"])[1] is False
+
+    def test_a_text_and_its_qlist_key_one_plan(self):
+        cache = QueryCache()
+        plan, hit = cache.lookup_plan(["[//a]", "[not //b]"])
+        assert not hit
+        assert cache.lookup_plan([cache.qlist("[//a]"), "[not //b]"]) == (plan, True)
+        # Order is part of the batch: answers come back in request order.
+        swapped, hit = cache.lookup_plan(["[not //b]", "[//a]"])
+        assert not hit and swapped is not plan
+        assert list(swapped.queries) == list(reversed(plan.queries))
+        assert cache.stats()["plans"] == 2
+
+    def test_racing_lookups_share_one_plan(self, monkeypatch):
+        workers = 8
+        barrier = threading.Barrier(workers)
+        real_plan_batch = plan_module.plan_batch
+
+        def slow_plan_batch(*args, **kwargs):
+            time.sleep(0.05)  # every thread is past its lookup by now
+            return real_plan_batch(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "plan_batch", slow_plan_batch)
+        cache = QueryCache()
+        cache.qlist("[//a]")  # compiled up front: the race is on the plan
+        got = []
+
+        def worker():
+            barrier.wait()
+            got.append(cache.lookup_plan(["[//a]", "[not //b]"]))
+
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(got) == workers
+        assert len({id(plan) for plan, _ in got}) == 1
+        assert cache.stats()["plans"] == 1
+        assert cache.lookup_plan(["[//a]", "[not //b]"]) == (got[0][0], True)
+
+    def test_session_coordinator_and_maintainer_share_one_plan(self):
+        cluster = self._cluster()
+        texts = ["[//a]", "[not //b]", "[//a]"]
+        cache = QueryCache()
+        coordinator = self._coordinator(cluster)
+        coordinator.cache = cache
+        with QuerySession(cluster, engine="parbox", cache=cache) as session:
+            maintainer = session.watch(texts)
+            try:
+                plan = session.plan(texts)
+                assert coordinator._plan_for(tuple(texts)) is plan
+                # The maintainer compiled its subscriptions through the
+                # same cache: its QLists key the very same plan.
+                standing = [maintainer._queries[name] for name in maintainer.names()]
+                assert list(plan.queries) == standing
+                assert cache.lookup_plan(standing) == (plan, True)
+            finally:
+                maintainer.close()
+        assert self._plan_counts(coordinator) == (1.0, 0.0)
+
+    def test_precompiled_resend_hits(self):
+        coordinator = self._coordinator(self._cluster())
+        # The wire form a net: session ships: argument lists included.
+        batch = tuple(
+            ("qlist", tuple(tuple(entry) for entry in compile_query(text).to_obj()))
+            for text in ("[//a]", "[not //b]")
+        )
+        first = coordinator._plan_for(batch)
+        assert coordinator._plan_for(batch) is first
+        assert self._plan_counts(coordinator) == (1.0, 1.0)
+
+    def test_client_input_is_checked_before_planning(self):
+        coordinator = self._coordinator(self._cluster())
+        bad_batches = [
+            ("[//a]", "[//a[["),
+            ("[//a]", ("qlist", (("no-such-op", None, ()),))),
+            (("qlist", 5),),
+            (("qlist", ((["unhashable"], None, ()),)),),
+        ]
+        for batch in bad_batches:
+            with pytest.raises(RemoteQueryError):
+                coordinator._plan_for(batch)
+        # Rejections count neither a hit nor a miss.
+        assert self._plan_counts(coordinator) == (0.0, 0.0)
+
+    def test_served_hit_and_miss_counts_are_exact(self):
+        cluster = self._cluster()
+        batch = ("[//a]", "[not //b]")
+        with hard_deadline(120):
+            with ServingCluster(cluster) as serving:
+                with serving.client() as client:
+                    for _ in range(5):
+                        client.query(batch, "parbox")
+                    with pytest.raises(RemoteQueryError):
+                        client.query(("[//a[[",), "parbox")
+                    with serving.session(engine="parbox") as session:
+                        first = session.evaluate_batch(list(batch))
+                        second = session.evaluate_batch(list(batch))
+                    stats = client.server_stats()
+        # One miss per new batch (texts, then their precompiled form);
+        # every resend hits; the bad request counts nothing.
+        assert stats["coordinator_plan_cache_total{coordinator=c0,result=miss}"] == 2.0
+        assert stats["coordinator_plan_cache_total{coordinator=c0,result=hit}"] == 5.0
+        # A served hit evaluates exactly like the miss that planned it.
+        assert first.answers == second.answers
+        assert deterministic_ledger(first.metrics) == deterministic_ledger(second.metrics)

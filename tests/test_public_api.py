@@ -89,8 +89,56 @@ class TestPublicClassesDocumentMethods:
 
 
 class TestRemovedKnobsStayRemoved:
-    """The evaluation tier has one dispatch wire and one site pass; the
-    A/B switches that once selected a second one must not creep back."""
+    """The evaluation tier has one dispatch wire and one site pass, the
+    serving tier one coordinator; the knobs that once selected a second
+    path or a pool must not creep back."""
+
+    def test_gateway_constructor(self):
+        from repro.serving.gateway import Gateway
+
+        signature = inspect.signature(Gateway.__init__)
+        assert list(signature.parameters) == [
+            "self",
+            "cluster",
+            "endpoints",
+            "host",
+            "port",
+            "max_inflight",
+            "max_queue",
+            "site_timeout",
+            "default_engine",
+        ]
+
+    def test_serving_cluster_constructor(self):
+        from repro.serving.cluster import ServingCluster
+
+        signature = inspect.signature(ServingCluster.__init__)
+        assert list(signature.parameters) == [
+            "self",
+            "cluster",
+            "replicas",
+            "site_mode",
+            "host",
+            "gateway_port",
+            "max_inflight",
+            "max_queue",
+            "site_timeout",
+            "default_engine",
+            "proxy_factory",
+        ]
+
+    def test_coordinator_constructor(self):
+        from repro.serving.coordinator import Coordinator
+
+        signature = inspect.signature(Coordinator.__init__)
+        assert list(signature.parameters) == [
+            "self",
+            "cluster",
+            "endpoints",
+            "site_timeout",
+            "connect_timeout",
+            "registry",
+        ]
 
     def test_process_executor_constructor(self):
         from repro.distsim.executors import ProcessSiteExecutor

@@ -38,8 +38,8 @@ from netfixtures import hard_deadline
 from repro.boolexpr.compose import CanonicalAlgebra, PaperAlgebra
 from repro.core import vectors
 from repro.core.bottom_up import bottom_up
-from repro.core.plan import plan_batch
-from repro.core.session import PLAN_CAP, QuerySession
+from repro.core.plan import PLAN_CAP, plan_batch
+from repro.core.session import QuerySession
 from repro.core.vectors import INTERN_CAP, VectorTriplet, clear_interned
 from repro.distsim.executors import (
     ProcessSiteExecutor,
@@ -623,7 +623,7 @@ class TestCachedSizes:
             )
             for index in range(PLAN_CAP + 1):
                 session.plan([f"[//t{index}]", texts[0]])
-            assert len(session._plans) == PLAN_CAP
+            assert session.cache.stats()["plans"] == PLAN_CAP
             assert session.plan(texts) is not plan  # fell out; planned again
             assert session.plan(texts).combined.entries == combined.entries
 

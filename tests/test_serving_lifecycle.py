@@ -111,6 +111,32 @@ def test_serving_cluster_close_unstarted_is_safe():
     serving.close()
 
 
+def test_evaluation_pool_is_sized_by_max_inflight():
+    with hard_deadline(60), ServingCluster(tiny_cluster(), max_inflight=3) as serving:
+        assert serving.gateway.max_inflight == 3
+        assert serving.gateway._pool._max_workers == 3
+        with serving.session(engine="parbox") as session:
+            assert len(session.evaluate_batch(["[//a]", "[not //a]"]).answers) == 2
+
+
+def test_one_coordinator_serves_and_no_reply_names_it():
+    with hard_deadline(60), ServingCluster(tiny_cluster()) as serving:
+        with serving.client() as client:
+            for _ in range(2):
+                reply = client.query(("[//a]", "[not //a]"), "parbox")
+                assert reply.details["engine"] == "ParBoX"
+                assert "coordinator" not in reply.details
+            stats = client.server_stats()
+    assert not hasattr(serving.gateway, "coordinators")
+    assert stats["gateway_replies_total{status=ok}"] == 2.0
+    # Only the aggregate gateway series: none is split per coordinator.
+    families = {key.split("{")[0] for key in stats if key.startswith("gateway_")}
+    assert families == {"gateway_inflight", "gateway_replies_total", "gateway_requests_total"}
+    # The one coordinator's series keep their ``c0`` label.
+    assert stats["coordinator_plan_cache_total{coordinator=c0,result=miss}"] == 1.0
+    assert stats["coordinator_plan_cache_total{coordinator=c0,result=hit}"] == 1.0
+
+
 def test_gateway_client_lifecycle():
     with hard_deadline(60), ServingCluster(tiny_cluster()) as serving:
         client = serving.client()
