@@ -22,7 +22,11 @@ The triplet of a fragment is a function of the fragment's content and
 the query alone (the fact the paper's maintenance scheme rests on), so
 each resident copy also keeps, *at its epoch*, the finished reply item
 of every ``(query, algebra)`` it has answered: a resend against an
-unchanged fragment skips the kernel and the encode.  The memo hangs off
+unchanged fragment skips the kernel and the encode.  A job runs in two
+halves over one read of its entries: :meth:`~ResidentSiteState.lookup`
+(epoch check and memo reads, cheap enough for an event loop) and
+:meth:`~ResidentSiteState.complete` (the kernel over whatever the memo
+left cold, then the replies).  The memo hangs off
 the ``(epoch, Fragment, linear)`` entry itself
 (:class:`ResidentFragment`), and a new entry is the only way a copy
 ever changes (:meth:`ResidentSiteState.install`, ``patch``), so a push,
@@ -324,8 +328,17 @@ class ResidentSiteState:
         segments: tuple = (),
     ) -> tuple[tuple, float, int]:
         """:meth:`run`, plus how many results came from the memo."""
-        from repro.core.bottom_up import site_bottom_up  # local: import cycle
+        return self.complete(self.lookup(site_id, refs, qlist, algebra), segments)
 
+    def lookup(self, site_id: str, refs: Sequence[tuple], qlist: QList, algebra) -> tuple:
+        """The first half of :meth:`run_counted`: the epoch check and the memo reads.
+
+        Raises :class:`StaleResidentError` as :meth:`run` does.  Returns
+        the pending job ``(entries, items, cold, qlist, algebra,
+        seconds)`` for :meth:`complete`: the entries read, the memoized
+        item per reference (``None`` at the ``cold`` indices) and the
+        busy seconds so far.  Cheap enough for an event loop.
+        """
         # One read per fragment: the epoch check, the evaluation and
         # the memo all see the same entry, so a concurrent install can
         # neither slip a newer tree under an older reference nor be
@@ -335,7 +348,6 @@ class ResidentSiteState:
         if missing:
             raise StaleResidentError(site_id, missing)
         started = time.thread_time()
-        resident_query = self.queries.get(qlist._resident_fingerprint) is qlist
         algebra_type = type(algebra)
         items, cold = [], []
         for index, entry in enumerate(entries):
@@ -344,20 +356,34 @@ class ResidentSiteState:
             if item is None:
                 cold.append(index)
             items.append(item)
+        return entries, items, cold, qlist, algebra, time.thread_time() - started
+
+    def complete(self, pending: tuple, segments: tuple = ()) -> tuple[tuple, float, int]:
+        """The second half of :meth:`run_counted`: evaluate what :meth:`lookup` left cold.
+
+        Runs the kernel over the cold entries only, memoizes their
+        items (for a resident query) and builds the result tuples.
+        Returns ``(results, busy seconds of both halves, memo hits)``.
+        """
+        from repro.core.bottom_up import site_bottom_up  # local: import cycle
+
+        entries, items, cold, qlist, algebra, seconds = pending
+        started = time.thread_time()
         if cold:
+            resident_query = self.queries.get(qlist._resident_fingerprint) is qlist
             evaluated = site_bottom_up(
                 [entries[index][1:] for index in cold], qlist, algebra
             )
             for index, (triplet, nodes) in zip(cold, evaluated):
                 items[index] = (triplet.to_blob(), nodes)
                 if resident_query:
-                    entries[index].results.setdefault(qlist, {})[algebra_type] = items[index]
+                    entries[index].results.setdefault(qlist, {})[type(algebra)] = items[index]
         n = len(qlist)
         results = tuple(
             (blob, nodes, nodes * n, tuple(nodes * length for _, length in segments))
             for blob, nodes in items
         )
-        seconds = time.thread_time() - started
+        seconds += time.thread_time() - started
         return results, seconds, len(items) - len(cold)
 
 

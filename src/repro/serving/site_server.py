@@ -15,7 +15,10 @@ test harness use the simulation as the oracle for the whole networked
 tier.
 
 Concurrency model: the read loop stays on the event loop and never
-blocks; each execute request runs on a worker thread
+blocks.  Each execute request does its memo lookup on the loop
+(:meth:`~repro.distsim.resident.ResidentSiteState.lookup`); one that
+every fragment's memo answers is replied to right there, and only one
+with fragments left to evaluate runs the rest on a worker thread
 (``asyncio.to_thread``), so pings and further requests keep flowing
 while a big fragment evaluates.  Replies are correlated by request id
 and may complete out of order; a per-connection write lock keeps frames
@@ -328,9 +331,16 @@ class SiteServer:
                 fragments=len(request.fragment_ids),
                 label=request.label,
             )
-        results, seconds, hits = await asyncio.to_thread(
-            self.state.run_counted, self.name, refs, qlist, algebra_cls(), segments
-        )
+        # The memo reads are a lookup, answered here; only a request
+        # with something to evaluate (cold indices) leaves the loop.
+        pending = self.state.lookup(self.name, refs, qlist, algebra_cls())
+        off_loop = bool(pending[2])
+        if off_loop:
+            results, seconds, hits = await asyncio.to_thread(
+                self.state.complete, pending, segments
+            )
+        else:
+            results, seconds, hits = self.state.complete(pending, segments)
         self.requests_served += 1
         self._requests_total.inc()
         self._execute_seconds.observe(seconds)
@@ -342,7 +352,8 @@ class SiteServer:
                 child.inc(evaluated)
         spans = ()
         if timer is not None:
-            spans = (timer.finish(seconds=round(seconds, 6), memo_hits=hits).to_wire(),)
+            span = timer.finish(seconds=round(seconds, 6), memo_hits=hits, off_loop=off_loop)
+            spans = (span.to_wire(),)
         return ExecuteReply(request.request_id, results, seconds, spans, hits)
 
     async def _send(

@@ -20,6 +20,7 @@ may be observable in an answer or in the deterministic ledger:
 * every cached size equals a fresh computation.
 """
 
+import asyncio
 import importlib
 import io
 import itertools
@@ -54,7 +55,16 @@ from repro.distsim.resident import (
 )
 from repro.obs import trace as obs_trace
 from repro.serving import ServingCluster
-from repro.serving.protocol import SiteUnavailable
+from repro.serving.protocol import (
+    ExecuteRequest,
+    LoadFragments,
+    Ping,
+    Pong,
+    SiteUnavailable,
+    read_message,
+    write_message,
+)
+from repro.serving.site_server import SiteServer
 from repro.stream import (
     MergeFragment,
     MoveFragment,
@@ -64,7 +74,7 @@ from repro.stream import (
 from repro.fragments.fragmenter import split_candidates
 from repro.stream.updates import apply_updates
 from repro.workloads.portfolio import build_portfolio_cluster
-from repro.workloads.topologies import chain_ft2
+from repro.workloads.topologies import chain_ft2, star_ft1
 from repro.xpath import compile_query
 from repro.xpath.qlist import QList
 from test_delta_residency import (
@@ -495,7 +505,7 @@ class TestBlobHardening:
                 assert list(good.answers) == [_oracle(cluster, "[//stock]")]
                 for servers in serving.sites.values():
                     for server in servers:
-                        honest = server.state.run_counted
+                        honest = server.state.complete
 
                         def poisoned(*args, _honest=honest):
                             results, seconds, hits = _honest(*args)
@@ -505,14 +515,14 @@ class TestBlobHardening:
                                 hits,
                             )
 
-                        server.state.run_counted = poisoned
+                        server.state.complete = poisoned
                 sys.modules.pop("colorsys", None)
                 with pytest.raises(SiteUnavailable):
                     session.evaluate_batch(["[//stock]"])
                 assert "colorsys" not in sys.modules
                 for servers in serving.sites.values():
                     for server in servers:
-                        del server.state.run_counted
+                        del server.state.complete
                 healed = session.evaluate_batch(["[//stock]"])
                 assert healed.answers == good.answers
 
@@ -764,6 +774,169 @@ class TestOneInstallPath:
 
 
 # ---------------------------------------------------------------------------
+# Where a site request runs: hits on the loop, misses on a thread
+# ---------------------------------------------------------------------------
+
+
+def _count_site_hops(monkeypatch):
+    """The resident states whose ``ExecuteRequest`` went to a thread, in order."""
+    hops = []
+    inner = asyncio.to_thread
+
+    def counting(func, /, *args, **kwargs):
+        caller = sys._getframe(1)
+        if (
+            caller.f_globals["__name__"] == "repro.serving.site_server"
+            and caller.f_code.co_name == "_run_request"
+        ):
+            hops.append(func.__self__)
+        return inner(func, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", counting)
+    return hops
+
+
+def _record_replies(monkeypatch):
+    """``(site name, reply)`` of every execute request a site server answers."""
+    replies = []
+    inner = SiteServer._run_request
+
+    async def recording(self, request):
+        reply = await inner(self, request)
+        replies.append((self.name, reply))
+        return reply
+
+    monkeypatch.setattr(SiteServer, "_run_request", recording)
+    return replies
+
+
+async def _ask(reader, writer, *messages):
+    """Send ``messages`` down one site link; the replies in arrival order."""
+    for message in messages:
+        write_message(writer, message)
+    await writer.drain()
+    return [await read_message(reader) for _ in messages]
+
+
+def _execute(request_id, fragments, qlist, algebra, segments=()):
+    return ExecuteRequest(
+        request_id,
+        "S0",
+        tuple(fragment.fragment_id for fragment in fragments),
+        qlist.wire_obj(),
+        algebra.name,
+        tuple(segments),
+        "test",
+        tuple(fragment.epoch for fragment in fragments),
+    )
+
+
+class TestSiteLoop:
+    def test_a_resend_stays_on_the_loop_and_a_cold_batch_leaves_it(self, monkeypatch):
+        hops = _count_site_hops(monkeypatch)
+        replies = _record_replies(monkeypatch)
+        cluster = _cluster(3)
+        queries = list(BOOK.values())
+        with hard_deadline(60), ServingCluster(cluster) as serving:
+            states = {
+                server.name: server.state
+                for servers in serving.sites.values()
+                for server in servers
+            }
+            with serving.session(engine="parbox") as session:
+                cold = session.evaluate_batch(queries)
+                cold_replies = dict(replies)
+                assert sorted(map(id, hops)) == sorted(map(id, states.values()))
+                hops.clear()
+                replies.clear()
+                resent = session.evaluate_batch(queries)
+                assert hops == []
+                resent_replies = dict(replies)
+        assert len(cold_replies) == len(resent_replies) == len(states)
+        assert resent.answers == cold.answers
+        assert deterministic_ledger(resent.metrics) == deterministic_ledger(cold.metrics)
+        for name, reply in cold_replies.items():
+            again = resent_replies[name]
+            assert again.results == reply.results  # the very same blobs
+            assert (reply.memo_hits, again.memo_hits) == (0, len(reply.results))
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS, ids=lambda a: a.name)
+    def test_a_mixed_request_hops_once_and_is_exact(self, monkeypatch, algebra):
+        hops = _count_site_hops(monkeypatch)
+        cluster = star_ft1(2, 0.6, seed=5, nodes_per_mb=40, one_site_each=False)
+        fragments = list(cluster.fragmented_tree.fragments.values())
+        plan = plan_batch([compile_query(text) for text in BOOK.values()])
+        fresh = ResidentSiteState()
+        fresh.store([resident_fragment_wire(fragment) for fragment in fragments])
+        refs = [(fragment.fragment_id, fragment.epoch) for fragment in fragments]
+        expected, _, _ = fresh.run_counted(
+            "S0", refs, _resident(fresh, plan.combined), algebra, plan.segments
+        )
+
+        async def scenario():
+            server = await SiteServer("S0").start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                wires = tuple(resident_fragment_wire(fragment) for fragment in fragments)
+                await _ask(reader, writer, LoadFragments(wires))
+                request = _execute(1, fragments, plan.combined, algebra, plan.segments)
+                (cold,) = await _ask(reader, writer, request)
+                (warm,) = await _ask(reader, writer, request)
+                assert len(hops) == 1 and (cold.memo_hits, warm.memo_hits) == (0, 2)
+                # A re-install of the same tree at the same epoch: the
+                # copy is new, so its memo is empty and this one is cold.
+                copy = fragments[1].deep_copy()
+                copy.epoch = fragments[1].epoch
+                server.fragments[copy.fragment_id] = copy
+                (mixed,) = await _ask(reader, writer, request)
+                return cold, warm, mixed
+            finally:
+                writer.close()
+                await server.stop()
+
+        with hard_deadline(60):
+            cold, warm, mixed = asyncio.run(scenario())
+        assert len(hops) == 2
+        assert mixed.memo_hits == 1
+        assert cold.results == warm.results == mixed.results == expected
+
+    def test_a_ping_and_a_warm_request_overtake_a_cold_one(self, monkeypatch):
+        cluster = _cluster(4)
+        fragment = cluster.fragment("F1")
+        warm_query, cold_query = compile_query("[//bidder]"), compile_query("[//note]")
+        algebra = CanonicalAlgebra()
+        module = importlib.import_module("repro.core.bottom_up")
+
+        def slow_kernel(*args, _inner=module.site_bottom_up, **kwargs):
+            time.sleep(0.5)
+            return _inner(*args, **kwargs)
+
+        async def scenario():
+            server = await SiteServer("S0").start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                await _ask(reader, writer, LoadFragments((resident_fragment_wire(fragment),)))
+                await _ask(reader, writer, _execute(1, [fragment], warm_query, algebra))
+                monkeypatch.setattr(module, "site_bottom_up", slow_kernel)
+                return await _ask(
+                    reader,
+                    writer,
+                    _execute(2, [fragment], cold_query, algebra),
+                    Ping(nonce=7),
+                    _execute(3, [fragment], warm_query, algebra),
+                )
+            finally:
+                writer.close()
+                await server.stop()
+
+        with hard_deadline(60):
+            pong, warm, cold = asyncio.run(scenario())
+        assert pong == Pong(nonce=7)
+        assert (warm.request_id, warm.memo_hits) == (3, 1)
+        assert (cold.request_id, cold.memo_hits) == (2, 0)
+
+
+# ---------------------------------------------------------------------------
 # Observability
 # ---------------------------------------------------------------------------
 
@@ -788,6 +961,13 @@ class TestObservability:
                 return sum(span.attrs["memo_hits"] for span in executes)
 
             assert memo_hits(cold) == 0 and memo_hits(warm) == fragments
+            # Misses left the site's loop for a thread; hits never did.
+            assert {span.attrs["off_loop"] for span in cold if span.name == "site.execute"} == {
+                True
+            }
+            assert {span.attrs["off_loop"] for span in warm if span.name == "site.execute"} == {
+                False
+            }
             per_site = {"hit": 0.0, "miss": 0.0}
             evaluated = {"full": 0.0, "spine": 0.0, "open": 0.0}
             for servers in serving.sites.values():
