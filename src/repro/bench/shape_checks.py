@@ -200,7 +200,7 @@ def check_sec5_incremental(result: ExperimentResult) -> dict[str, bool]:
         <= min(maint_bytes) * 1.5 + 64,
         "maintenance_visits_one_site": all(s == 1 for s in result.column("maint_sites")),
         "reevaluation_visits_all_sites": all(s > 1 for s in result.column("scratch_sites")),
-        "reevaluation_cost_grows": scratch_nodes[-1] > 2 * scratch_nodes[0],
+        "reevaluation_costs_tree_size": scratch_nodes == result.column("tree_nodes"),
         "maintenance_localized_to_fragment": all(
             m < s / 2 for m, s in zip(maint_nodes, scratch_nodes)
         ),

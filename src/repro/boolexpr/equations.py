@@ -243,6 +243,10 @@ class BooleanEquationSystem:
                         stack.append((child, False))
         return memo[root]
 
+    def solved(self) -> Mapping[Var, bool]:
+        """Every variable solved so far (a live view, not a copy)."""
+        return self._solution
+
     def solve_all(self) -> Mapping[Var, bool]:
         """Solve every defined variable and return the full assignment."""
         for var in list(self._definitions):

@@ -10,30 +10,75 @@ the source tree solves it; the query answer is ``V_Froot[last]``
 
 The implementation delegates to
 :class:`~repro.boolexpr.equations.BooleanEquationSystem`, whose memoized
-evaluation *is* that bottom-up pass (children are forced before their
-parents by the dependency order).  The solver's worklist memoizes per
-*interned formula*, not just per variable, and the memo lives on the
-system object -- so the N answer reads of :func:`eval_st_many` share
-every common sub-formula's value: one solve, N cheap reads, exactly the
-batched composition stage's cost model.
+evaluation *is* that bottom-up pass; its memo is per interned formula,
+so the N answer reads of one batch share every common sub-formula.
+
+**Retained solve.**  :func:`assemble`, the one assembly routine, keeps
+per fragment a weak reference to the triplet object it solved with and
+the values it read, as per-kind int bitmasks (``known``, ``value``; bit
+*i* = entry *i*), in a :class:`RetainedSolve` holder.  The next solve
+through the holder re-reads only the *dirty* fragments: those whose
+triplet is not the retained object, and their ancestors (a changed
+triplet can only move the variables on its path to the root).  A new
+:class:`SourceTree` object dirties all: it fixes the child tuples, and
+:class:`~repro.distsim.cluster.Cluster` builds one on every split /
+merge / move.
+Clean known entries resolve to constants; the solved variables are
+harvested back into masks.  A resend costs ``O(|F|)`` identity checks
+plus one mask read per answer, an edit its root paths.  Identity is a
+sound key because triplets are immutable, and resident holders hand
+back the same object for an unchanged result (blob interning); tree
+callers build fresh triplets and re-solve in full.  One holder lives on
+each :class:`~repro.core.plan.BatchPlan` (ParBoX, Hybrid, the served
+coordinator) and each standing :class:`~repro.stream.dirty.Segment`.
+Racing threads share it without a lock: a solve reads the immutable
+snapshot once and publishes a new one in one assignment, so it can
+lose its publication but never its answer.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+import weakref
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.boolexpr.equations import BooleanEquationSystem
-from repro.boolexpr.formula import Var
+from repro.boolexpr.formula import FALSE, TRUE, Var
 from repro.core.vectors import VectorTriplet
 from repro.fragments.source_tree import SourceTree
 from repro.xpath.qlist import QList
 
 
-_VECTOR_OF_KIND = {"V": "v", "CV": "cv", "DV": "dv"}
+#: A variable kind's slot in a triplet's vectors and in the masks.
+_SLOT = {"V": 0, "CV": 1, "DV": 2}
+
+
+class FragmentSolve(NamedTuple):
+    """What one solve read of one fragment (bit *i* = entry *i*)."""
+
+    #: The triplet object solved with: identity is the key.  Weak, so a
+    #: tree caller's fresh per-batch triplets are not kept alive by it.
+    triplet: "weakref.ref[VectorTriplet]"
+    known: tuple[int, int, int]  # per kind V / CV / DV: entries read
+    value: tuple[int, int, int]  # their truth values
+
+
+class RetainedSolve:
+    """The last solve of one plan or segment, for the next to reuse.
+
+    ``snapshot`` is ``None`` or an immutable ``(source_tree, {fragment
+    id: FragmentSolve})``, replaced whole by each :func:`assemble`.
+    """
+
+    __slots__ = ("snapshot",)
+
+    def __init__(self) -> None:
+        self.snapshot: Optional[tuple[SourceTree, dict[str, FragmentSolve]]] = None
 
 
 def build_equation_system(
-    triplets: Mapping[str, VectorTriplet], eager: bool = False
+    triplets: Mapping[str, VectorTriplet],
+    eager: bool = False,
+    solved: Optional[Mapping[str, FragmentSolve]] = None,
 ) -> BooleanEquationSystem:
     """Turn a set of triplets into the Boolean equation system.
 
@@ -46,9 +91,10 @@ def build_equation_system(
     solver's resolver hook: reading one answer touches only the
     variables reachable from it (the fragment-tree spine), not the full
     ``3 n card(F)`` definition set -- which keeps the composition stage
-    O(reachable) as fragment counts grow.  Pass ``eager=True`` when
-    every variable will be read anyway (``solve_all``, as in the
-    selection engine's phase 1).
+    O(reachable) as fragment counts grow.  ``solved`` maps clean
+    fragments to what an earlier solve read of them; their known entries
+    resolve to constants.  Pass ``eager=True`` when every variable will
+    be read anyway (``solve_all``, as in the selection engine's phase 1).
     """
     if eager:
         system = BooleanEquationSystem()
@@ -58,18 +104,24 @@ def build_equation_system(
                 system.define(Var(triplet.fragment_id, "CV", index), triplet.cv[index])
                 system.define(Var(triplet.fragment_id, "DV", index), triplet.dv[index])
         return system
+    solved = solved or {}
 
     def resolve(var: Var):
         triplet = triplets.get(var.owner)
         if triplet is None:
             return None
-        vector = getattr(triplet, _VECTOR_OF_KIND[var.kind])
+        slot = _SLOT[var.kind]
+        vector = (triplet.v, triplet.cv, triplet.dv)[slot]
+        index = var.index
         # Full bounds check: Python's negative indexing would otherwise
         # silently resolve Var(F, 'V', -1) to the last entry where the
         # eager build raised UnboundVariableError.
-        if not 0 <= var.index < len(vector):
+        if not 0 <= index < len(vector):
             return None
-        return vector[var.index]
+        retained = solved.get(var.owner)
+        if retained is not None and retained.known[slot] >> index & 1:
+            return TRUE if retained.value[slot] >> index & 1 else FALSE
+        return vector[index]
 
     return BooleanEquationSystem(resolver=resolve)
 
@@ -111,17 +163,63 @@ def eval_st_many(
 
     The batched composition stage: a combined batch QList produces one
     equation system, and each query's answer is the root fragment's
-    ``V`` value at that query's answer index -- one solve, N answers
-    (the system's memoization shares all common sub-formulas).
+    ``V`` value at that query's answer index.  :func:`assemble` with
+    nothing retained.
     """
-    missing = [fid for fid in source_tree.fragment_ids() if fid not in triplets]
+    return assemble(RetainedSolve(), triplets, source_tree, answer_indices)[0]
+
+
+def assemble(
+    retained: RetainedSolve,
+    triplets: Mapping[str, VectorTriplet],
+    source_tree: SourceTree,
+    answer_indices: Sequence[int],
+) -> tuple[list[bool], int]:
+    """Answer the root entries, re-solving only the dirty fragments.
+
+    Returns the answers and how many fragments were dirty (0 for a
+    resend of the retained triplets, the edited fragments' root paths
+    after an edit, ``card(F)`` on a first solve).  See the module
+    docstring for the invalidation rule.
+    """
+    snapshot = retained.snapshot
+    previous = snapshot[1] if snapshot and snapshot[0] is source_tree else {}
+    order = source_tree.fragment_ids()
+    missing = [fid for fid in order if fid not in triplets]
     if missing:
         raise ValueError(f"evalST needs a triplet for every fragment; missing {missing}")
-    system = build_equation_system(triplets)
-    return [
+    dirty = {
+        fid for fid in order
+        if fid not in previous or previous[fid].triplet() is not triplets[fid]
+    }
+    for fid in list(dirty):
+        parent = source_tree.parent_of(fid)
+        while parent is not None and parent not in dirty:
+            dirty.add(parent)
+            parent = source_tree.parent_of(parent)
+    root = source_tree.root_fragment_id
+    if not dirty:
+        known, value = previous[root].known[0], previous[root].value[0]
+        if all(index >= 0 and known >> index & 1 for index in answer_indices):
+            return [bool(value >> index & 1) for index in answer_indices], 0
+
+    clean = {fid: entry for fid, entry in previous.items() if fid not in dirty}
+    system = build_equation_system(triplets, solved=clean)
+    answers = [
         system.value_of(answer_variable(source_tree, index=index))
         for index in answer_indices
     ]
+    masks = {fid: [*clean[fid].known, *clean[fid].value] if fid in clean else [0] * 6
+             for fid in order}
+    for var, truth in system.solved().items():
+        if var.owner in masks:
+            slot, bit = _SLOT[var.kind], 1 << var.index
+            masks[var.owner][slot] |= bit
+            masks[var.owner][slot + 3] |= bit if truth else 0
+    retained.snapshot = (source_tree, {
+        fid: FragmentSolve(weakref.ref(triplets[fid]), tuple(m[:3]), tuple(m[3:]))
+        for fid, m in masks.items()})
+    return answers, len(dirty)
 
 
 def resolve_triplet(
@@ -150,6 +248,9 @@ def resolve_triplet(
 __all__ = [
     "eval_st",
     "eval_st_many",
+    "assemble",
+    "RetainedSolve",
+    "FragmentSolve",
     "build_equation_system",
     "answer_variable",
     "resolve_triplet",

@@ -8,7 +8,8 @@ Three stages:
    fragment and sends all resulting triplets back in one reply -- this
    is why each site is visited exactly once regardless of how many
    fragments it stores;
-3. the coordinator solves the Boolean equation system (``evalST``).
+3. the coordinator solves the Boolean equation system (``evalST``),
+   re-solving only what changed since the plan's last solve.
 
 Stage 2 is dispatched as one :class:`~repro.distsim.executors.SiteJob`
 per site through the run's executor, so with ``executor="threads"`` or
@@ -24,7 +25,7 @@ work overlaps.
 from __future__ import annotations
 
 from repro.core.engine import Engine
-from repro.core.eval_st import eval_st_many
+from repro.core.eval_st import assemble
 from repro.core.plan import BatchPlan
 
 
@@ -48,14 +49,15 @@ class ParBoXEngine(Engine):
 
         # Stage 3: compose partial answers at the coordinator.  One
         # equation-system solve yields every query's answer entry.
-        (answers, combine_seconds) = run.compute(
+        ((answers, fragments_solved), combine_seconds) = run.compute(
             coordinator,
-            lambda: eval_st_many(triplets, source_tree, plan.answer_indices),
+            lambda: assemble(plan.solved, triplets, source_tree, plan.answer_indices),
         )
         elapsed = run.join(site_finish) + combine_seconds
         details = dict(
             triplets=len(triplets),
             variables=sum(t.variable_count() for t in triplets.values()),
+            fragments_solved=fragments_solved,
         )
         return answers, run, elapsed, details
 

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
+from repro.core.eval_st import RetainedSolve
 from repro.distsim.metrics import Metrics, QueryCost
 from repro.xpath import build_qlist, normalize, parse_query
 from repro.xpath.ast import BoolExpr
@@ -194,6 +195,8 @@ class BatchPlan:
     one per *unique* query, and ``segment_of[i]`` names the segment
     query *i* landed in (duplicates share a segment -- and therefore a
     broadcast slice, a triplet slice and the site work for it).
+    ``solved`` holds the plan's last equation solve for the next one to
+    reuse (:func:`~repro.core.eval_st.assemble`).
     """
 
     combined: QList
@@ -201,6 +204,9 @@ class BatchPlan:
     answer_indices: tuple[int, ...]
     segments: tuple[tuple[int, int], ...]
     segment_of: tuple[int, ...]
+    solved: RetainedSolve = field(
+        default_factory=RetainedSolve, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.queries)

@@ -51,7 +51,9 @@ class VectorTriplet:
     receiver of one encoded blob the same object.
     """
 
-    __slots__ = ("fragment_id", "v", "cv", "dv", "_wire_bytes", "_variable_count")
+    __slots__ = (
+        "fragment_id", "v", "cv", "dv", "_wire_bytes", "_variable_count", "__weakref__"
+    )
 
     def __init__(
         self,

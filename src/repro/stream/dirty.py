@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
+from repro.core.eval_st import RetainedSolve
 from repro.core.plan import BatchPlan
 from repro.core.vectors import VectorTriplet
 from repro.xpath.qlist import QEntry, QList, append_shifted
@@ -51,11 +52,14 @@ SegmentKey = tuple[QEntry, ...]
 
 @dataclass
 class Segment:
-    """One unique standing query and the subscriptions sharing it."""
+    """One unique standing query, the subscriptions sharing it, its last solve."""
 
     key: SegmentKey
     qlist: QList
     members: dict[str, None] = field(default_factory=dict)  # insertion-ordered set
+    solved: RetainedSolve = field(
+        default_factory=RetainedSolve, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.qlist)

@@ -22,9 +22,9 @@ is realized here for a whole *batch* of standing queries at once:
    and **only the slices that differ from the cache** cross the
    network (``triplet-delta`` messages; a dirty site whose triplet did
    not move sends a control-sized ack);
-4. **re-solve** -- only the segments owning a changed slice rebuild
-   their (per-segment, hence small) Boolean equation system; every
-   other standing answer is untouched;
+4. **re-solve** -- only the segments owning a changed slice re-solve
+   their (per-segment, hence small) Boolean equation system, along the
+   changed fragments' root paths only; every other answer is untouched;
 5. **notify** -- answers that flipped are appended to the
    :class:`Changefeed` as ``(query, old, new)`` events, and the whole
    round is summarized in a :class:`MaintenanceRound` cost ledger.
@@ -69,7 +69,7 @@ from typing import Optional, Sequence, Union
 
 from repro.boolexpr.compose import DEFAULT_ALGEBRA, FormulaAlgebra
 from repro.core.engine import CONTROL_BYTES, MSG_CONTROL, MSG_TRIPLET_DELTA
-from repro.core.eval_st import answer_variable, build_equation_system
+from repro.core.eval_st import RetainedSolve, assemble
 from repro.core.plan import BatchPlan, QueryCache
 from repro.core.vectors import VectorTriplet
 from repro.distsim.cluster import Cluster
@@ -229,7 +229,7 @@ class StreamMaintainer:
         self._queries[name] = qlist
         if is_new:
             self._triplets[segment.key] = self._evaluate_segment(segment)
-            self._segment_answers[segment.key] = self._solve_segment(segment)
+            self._solve_segment(segment)
         return self._segment_answers[segment.key]
 
     def unsubscribe(self, name: str) -> None:
@@ -443,8 +443,7 @@ class StreamMaintainer:
             (_, solve_seconds) = run.compute(
                 coordinator,
                 lambda: [
-                    self._resolve_segment(segment)
-                    for segment in dirty_segments.values()
+                    self._solve_segment(segment) for segment in dirty_segments.values()
                 ],
             )
             resolved = list(dirty_segments.values())
@@ -498,11 +497,6 @@ class StreamMaintainer:
             migrations=batch.migrations,
         )
 
-    def _resolve_segment(self, segment: Segment) -> bool:
-        answer = self._solve_segment(segment)
-        self._segment_answers[segment.key] = answer
-        return answer
-
     # ------------------------------------------------------------------
     # Per-segment evaluation / solving
     # ------------------------------------------------------------------
@@ -547,20 +541,20 @@ class StreamMaintainer:
 
     def _solve_segment(self, segment: Segment) -> bool:
         """Solve one segment's (small) equation system at the coordinator."""
-        triplets = self._triplets[segment.key]
-        system = build_equation_system(triplets)
-        return system.value_of(
-            answer_variable(self.cluster.source_tree(), index=segment.answer_index)
-        )
+        (answer,), _ = assemble(segment.solved, self._triplets[segment.key],
+                                self.cluster.source_tree(), [segment.answer_index])
+        self._segment_answers[segment.key] = answer
+        return answer
 
     # ------------------------------------------------------------------
     # Oracles
     # ------------------------------------------------------------------
     def recompute_from_scratch(self) -> dict[str, bool]:
-        """Re-evaluate and re-solve every segment; refresh all caches."""
+        """Re-evaluate and re-solve every segment from scratch; refresh all caches."""
         for segment in self.index.segments():
             self._triplets[segment.key] = self._evaluate_segment(segment)
-            self._segment_answers[segment.key] = self._solve_segment(segment)
+            segment.solved = RetainedSolve()
+            self._solve_segment(segment)
         return self.answers()
 
     # ------------------------------------------------------------------
