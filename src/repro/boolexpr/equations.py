@@ -247,12 +247,6 @@ class BooleanEquationSystem:
         """Every variable solved so far (a live view, not a copy)."""
         return self._solution
 
-    def solve_all(self) -> Mapping[Var, bool]:
-        """Solve every defined variable and return the full assignment."""
-        for var in list(self._definitions):
-            self.value_of(var)
-        return dict(self._solution)
-
 
 def _kleene(formula: Formula, env: Mapping[Var, bool | None]) -> bool | None:
     """Three-valued evaluation: ``None`` stands for "unknown"."""

@@ -34,7 +34,7 @@ identity for correctness.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 from weakref import WeakValueDictionary
 
 Obj = Union[bool, list]  # the JSON-able wire representation
@@ -485,18 +485,6 @@ def formula_from_obj(obj: Obj) -> Formula:
     raise ValueError(f"unknown formula tag {tag!r}")
 
 
-def iter_subformulas(formula: Formula) -> Iterator[Formula]:
-    """Yield every node of the formula tree (pre-order)."""
-    stack = [formula]
-    while stack:
-        current = stack.pop()
-        yield current
-        if isinstance(current, Not):
-            stack.append(current.child)
-        elif isinstance(current, _NAry):
-            stack.extend(current.children)
-
-
 __all__ = [
     "Formula",
     "Const",
@@ -511,6 +499,5 @@ __all__ = [
     "make_and",
     "make_or",
     "formula_from_obj",
-    "iter_subformulas",
     "pool_stats",
 ]

@@ -77,7 +77,6 @@ class RetainedSolve:
 
 def build_equation_system(
     triplets: Mapping[str, VectorTriplet],
-    eager: bool = False,
     solved: Optional[Mapping[str, FragmentSolve]] = None,
 ) -> BooleanEquationSystem:
     """Turn a set of triplets into the Boolean equation system.
@@ -87,23 +86,14 @@ def build_equation_system(
     allowed -- LazyParBoX adds triplets one source-tree depth at a time
     and an absent fragment's variables are simply unbound.
 
-    By default the definitions materialize *lazily* through the
-    solver's resolver hook: reading one answer touches only the
-    variables reachable from it (the fragment-tree spine), not the full
-    ``3 n card(F)`` definition set -- which keeps the composition stage
-    O(reachable) as fragment counts grow.  ``solved`` maps clean
-    fragments to what an earlier solve read of them; their known entries
-    resolve to constants.  Pass ``eager=True`` when every variable will
-    be read anyway (``solve_all``, as in the selection engine's phase 1).
+    The definitions materialize *lazily* through the solver's resolver
+    hook: reading one answer touches only the variables reachable from
+    it (the fragment-tree spine), not the full ``3 n card(F)``
+    definition set -- which keeps the composition stage O(reachable) as
+    fragment counts grow.  ``solved`` maps clean fragments to what an
+    earlier solve read of them; their known entries resolve to
+    constants.
     """
-    if eager:
-        system = BooleanEquationSystem()
-        for triplet in triplets.values():
-            for index in range(len(triplet)):
-                system.define(Var(triplet.fragment_id, "V", index), triplet.v[index])
-                system.define(Var(triplet.fragment_id, "CV", index), triplet.cv[index])
-                system.define(Var(triplet.fragment_id, "DV", index), triplet.dv[index])
-        return system
     solved = solved or {}
 
     def resolve(var: Var):
@@ -114,8 +104,8 @@ def build_equation_system(
         vector = (triplet.v, triplet.cv, triplet.dv)[slot]
         index = var.index
         # Full bounds check: Python's negative indexing would otherwise
-        # silently resolve Var(F, 'V', -1) to the last entry where the
-        # eager build raised UnboundVariableError.
+        # silently resolve Var(F, 'V', -1) to the last entry instead of
+        # leaving it unbound.
         if not 0 <= index < len(vector):
             return None
         retained = solved.get(var.owner)

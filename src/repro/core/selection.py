@@ -10,8 +10,8 @@ Protocol (two visits per site):
 
 1. **Visit 1 -- qualifier resolution.**  Plain ParBoX stage 2: every
    site returns ``(V, CV, DV)`` triplets.  The coordinator solves the
-   whole Boolean equation system, so it knows the ground value of every
-   ``Var(F, kind, i)``.
+   Boolean equation system for the ground value of every
+   ``Var(F, kind, i)`` of a virtual node -- exactly what visit 2 ships.
 2. **Visit 2 -- conditional selection.**  The coordinator sends each
    site the ground values of the variables of its fragments' virtual
    nodes.  With those, a site (a) re-runs a *ground* bottom-up pass to
@@ -350,17 +350,27 @@ class SelectionEngine(Engine):
         source_tree = self.cluster.source_tree()
         coordinator = source_tree.coordinator_site
 
-        # ---- Visit 1: ParBoX stage 2 + full system solution -------------
+        # ---- Visit 1: ParBoX stage 2 + the virtual nodes' solution -------
         # Dispatched through the site executor exactly like ParBoX.
         triplets, phase1_times = self._broadcast_stage(
             run, plan, combined.wire_bytes(), reply=True
         )
 
-        (solution, solve_seconds) = run.compute(
-            # Eager: phase 2 reads every fragment's variables, so the
-            # lazy resolver would materialize them all anyway.
-            coordinator, lambda: build_equation_system(triplets, eager=True).solve_all()
-        )
+        def solve_envs() -> dict[str, dict[Var, bool]]:
+            # Through the lazy resolver, exactly the variables visit 2
+            # ships: V / CV / DV of every sub-fragment, per fragment.
+            system = build_equation_system(triplets)
+            return {
+                fragment_id: {
+                    var: system.value_of(var)
+                    for sub in self.cluster.fragment(fragment_id).sub_fragment_ids()
+                    for kind in ("V", "CV", "DV")
+                    for var in (Var(sub, kind, index) for index in range(len(triplets[sub])))
+                }
+                for fragment_id in triplets
+            }
+
+        (envs, solve_seconds) = run.compute(coordinator, solve_envs)
         elapsed = run.join(phase1_times) + solve_seconds
 
         # ---- Visit 2: conditional selection tables -----------------------
@@ -373,11 +383,7 @@ class SelectionEngine(Engine):
             reply_bytes = 0
             for fragment_id in source_tree.fragments_of(site_id):
                 fragment = self.cluster.fragment(fragment_id)
-                virtual_env = {
-                    var: value
-                    for var, value in solution.items()
-                    if var.owner in fragment.sub_fragment_ids()
-                }
+                virtual_env = envs[fragment_id]
                 env_bytes += 8 * len(virtual_env)
                 (table, seconds) = run.compute(
                     site_id,

@@ -327,7 +327,10 @@ class VectorTriplet:
             raise ValueError(f"undecodable triplet blob: {error}") from None
         triplet = cls._from_compact_tuple(compact)
         with _intern_lock:
-            _interned[blob] = triplet
+            # A racing decoder of equal bytes may have stored first: its
+            # object wins, so every caller holds the same one.
+            triplet = _interned.setdefault(blob, triplet)
+            _interned.move_to_end(blob)
             while len(_interned) > INTERN_CAP:
                 _interned.popitem(last=False)
         return triplet

@@ -356,7 +356,11 @@ def _resident_worker_main(conn) -> None:
     :func:`~repro.distsim.transport.unwrap_batch`); a batch is handled
     message by message, in order, and answered with exactly one reply
     per message in one envelope -- so a dispatcher coalescing a whole
-    site batch into one pipe write gets one wakeup back.  Messages:
+    site batch into one pipe write gets one wakeup back.  The worker is
+    only a transport: a job is answered by the holder's one request
+    routine (:meth:`ResidentSiteState.accept` then ``complete``, as in
+    the site server), and the worker adds tuple replies, the compact
+    blob framing and the ``("stale", missing)`` reply.  Messages:
 
     * ``("push", wires)`` -- install ``(id, epoch, xml)`` triples;
     * ``("patch", patches)`` -- bring resident fragments forward by
@@ -372,9 +376,8 @@ def _resident_worker_main(conn) -> None:
       grows a trailing tuple of span wire forms (both sides index
       tolerantly, so either end may predate the field);
     * ``("stats",)`` -- residency introspection for tests/leak checks,
-      with ``result_hits`` / ``result_misses``: per-fragment results
-      served from a resident copy's memo vs evaluated, and
-      ``kernel_nodes``: nodes really evaluated, by mode
+      with the holder's tallies: ``result_hits`` / ``result_misses``
+      (:attr:`ResidentSiteState.result_counts`) and ``kernel_nodes``
       (:attr:`ResidentSiteState.kernel_nodes`);
     * ``("stop",)`` -- exit (never batched with other messages).
     """
@@ -383,8 +386,6 @@ def _resident_worker_main(conn) -> None:
     from repro.distsim.resident import ResidentSiteState, StaleResidentError
 
     state = ResidentSiteState()
-    algebras: dict[str, FormulaAlgebra] = {}
-    result_counts = {"result_hits": 0, "result_misses": 0}
 
     def handle(message: tuple) -> tuple:
         """One message -> one reply; errors answer typed, never raise."""
@@ -393,11 +394,6 @@ def _resident_worker_main(conn) -> None:
             if kind == "job":
                 _, site_id, refs, fingerprint, qlist_obj, algebra_name, segments = message[:7]
                 trace = message[7] if len(message) > 7 else ()
-                qlist = state.ensure_query(fingerprint, qlist_obj)
-                algebra = algebras.get(algebra_name)
-                if algebra is None:
-                    algebra = algebras.setdefault(algebra_name, ALGEBRAS_BY_NAME[algebra_name]())
-                segments = tuple(tuple(span) for span in segments)
                 timer = None
                 if trace:
                     timer = obs_trace.SpanTimer(
@@ -409,13 +405,12 @@ def _resident_worker_main(conn) -> None:
                         fragments=len(refs),
                     )
                 try:
-                    results, seconds, hits = state.run_counted(
-                        site_id, refs, qlist, algebra, segments
-                    )
+                    pending = state.accept(site_id, refs, fingerprint, qlist_obj, algebra_name)
                 except StaleResidentError as stale:
                     return ("stale", stale.missing)
-                result_counts["result_hits"] += hits
-                result_counts["result_misses"] += len(results) - hits
+                results, seconds, hits = state.complete(
+                    pending, tuple(tuple(span) for span in segments)
+                )
                 wired = tuple(
                     (compact_with_buffers(blob), nodes, ops, segment_ops)
                     for blob, nodes, ops, segment_ops in results
@@ -439,7 +434,8 @@ def _resident_worker_main(conn) -> None:
                         "receive_counts": dict(state.receive_counts),
                         "digests": state.content_digests(),
                         "queries": sorted(state.queries),
-                        **result_counts,
+                        "result_hits": state.result_counts["hit"],
+                        "result_misses": state.result_counts["miss"],
                         "kernel_nodes": dict(state.kernel_nodes),
                     },
                 )
@@ -719,13 +715,12 @@ class ProcessSiteExecutor(SiteExecutor):
         """
         from repro.distsim import transport
 
-        in_flight: dict[int, tuple] = {}  # worker index -> tags of the sent frame
+        in_flight: dict[int, tuple] = {}  # worker index -> tags of the unanswered frame
 
         def kick(index: int) -> None:
             while True:
                 queue = queues.get(index)
                 if not queue:
-                    in_flight.pop(index, None)
                     return
                 worker = self._workers[index]
                 entries = list(queue)
@@ -742,28 +737,37 @@ class ProcessSiteExecutor(SiteExecutor):
                 in_flight[index] = tags
                 return
 
-        for index in list(queues):
-            kick(index)
-        while in_flight:
-            conn_to_index = {self._workers[i].conn: i for i in in_flight}
-            for conn in _connection_wait(list(conn_to_index)):
-                index = conn_to_index[conn]
-                tags = in_flight[index]
-                try:
-                    frame = transport.recv_payload(conn)
-                except (EOFError, OSError):
-                    self._recover(index, tags, queues, jobs, attempts)
-                    kick(index)
-                    continue
-                replies = transport.unwrap_batch(frame)
-                if len(replies) != len(tags):  # pragma: no cover - protocol bug
-                    raise RuntimeError(
-                        f"site worker {index} answered {len(replies)} replies "
-                        f"to a {len(tags)}-message frame"
-                    )
-                for tag, reply in zip(tags, replies):
-                    self._on_reply(index, tag, reply, queues, jobs, outcomes, attempts)
+        try:
+            for index in list(queues):
                 kick(index)
+            while in_flight:
+                conn_to_index = {self._workers[i].conn: i for i in in_flight}
+                for conn in _connection_wait(list(conn_to_index)):
+                    index = conn_to_index[conn]
+                    tags = in_flight.pop(index)
+                    try:
+                        frame = transport.recv_payload(conn)
+                    except (EOFError, OSError):
+                        self._recover(index, tags, queues, jobs, attempts)
+                        kick(index)
+                        continue
+                    replies = transport.unwrap_batch(frame)
+                    if len(replies) != len(tags):  # pragma: no cover - protocol bug
+                        raise RuntimeError(
+                            f"site worker {index} answered {len(replies)} replies "
+                            f"to a {len(tags)}-message frame"
+                        )
+                    for tag, reply in zip(tags, replies):
+                        self._on_reply(index, tag, reply, queues, jobs, outcomes, attempts)
+                    kick(index)
+        finally:
+            # A batch aborted by a raise leaves other workers mid-exchange:
+            # read (and drop) their replies, so none answers a later frame.
+            for index in in_flight:
+                try:
+                    transport.recv_payload(self._workers[index].conn)
+                except (EOFError, OSError):
+                    self._respawn(index)
 
     def _recover(
         self,

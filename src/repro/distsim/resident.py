@@ -22,28 +22,37 @@ The triplet of a fragment is a function of the fragment's content and
 the query alone (the fact the paper's maintenance scheme rests on), so
 each resident copy also keeps, *at its epoch*, the finished reply item
 of every ``(query, algebra)`` it has answered: a resend against an
-unchanged fragment skips the kernel and the encode.  A job runs in two
-halves over one read of its entries: :meth:`~ResidentSiteState.lookup`
-(epoch check and memo reads, cheap enough for an event loop) and
-:meth:`~ResidentSiteState.complete` (the kernel over whatever the memo
-left cold, then the replies).  The memo hangs off
-the ``(epoch, Fragment, linear)`` entry itself
+unchanged fragment skips the kernel and the encode.  The memo hangs
+off the ``(epoch, Fragment, linear)`` entry itself
 (:class:`ResidentFragment`), and a new entry is the only way a copy
 ever changes (:meth:`ResidentSiteState.install`, ``patch``), so a push,
 a patch, a retire or a re-install drops it by construction.  Query
 residency is an LRU of :data:`QUERY_CAP` programs; evicting one drops
 what every fragment derived from it.
 
-A job referencing an epoch the holder does not have raises
+**One request routine.**  Both transports -- the pipe worker and the
+site server -- answer an execute request through the same two calls,
+and keep only their framing, replies and error mapping for themselves.
+:meth:`~ResidentSiteState.accept` resolves the algebra by name, finds
+the resident query by fingerprint (:meth:`~ResidentSiteState.ensure_query`),
+reads each fragment entry once for the epoch check and the memo
+(:meth:`~ResidentSiteState.lookup`) and counts memo hits and misses --
+cheap enough for an event loop.  :meth:`~ResidentSiteState.complete`
+runs the kernel over whatever the memo left cold, then builds the
+replies.  A job referencing an epoch the holder does not have raises
 :class:`StaleResidentError` -- typed, with the exact missing ids -- so
-dispatchers re-push and retry instead of serving stale answers.  This
-is the in-process mirror of the serving tier's ``unknown-fragment`` /
-``stale-fragment`` self-heal, and both tiers run through this class.
+dispatchers re-push and retry instead of serving stale answers: the
+worker answers ``("stale", missing)``, the server ``unknown-fragment``
+or ``stale-fragment``.
 
-``receive_counts`` tracks arrivals (pushes and applied patches) per
-``(fragment_id, epoch)`` so the differential tests can assert the
+The holder's tallies live beside each other and nowhere else:
+``kernel_nodes`` (nodes really evaluated, by mode), ``result_counts``
+(per-fragment results served from the memo vs evaluated) and
+``receive_counts`` (arrivals by push or applied patch per
+``(fragment_id, epoch)``, so the differential tests can assert the
 each-epoch-arrives-once contract from the holder's side, not just the
-dispatcher's model.
+dispatcher's model).  The worker's ``stats`` reply and the site
+server's registry both read them.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ import time
 from collections import Counter, OrderedDict
 from typing import Sequence
 
+from repro.distsim.executors import ALGEBRAS_BY_NAME
 from repro.fragments.fragment import Fragment
 from repro.xpath.qlist import QList
 
@@ -75,6 +85,10 @@ class StaleResidentError(RuntimeError):
             f"site {site_id}: resident state is missing or stale for "
             f"fragment(s) {sorted(self.missing)}"
         )
+
+
+class UnknownAlgebraError(ValueError):
+    """An execute request named an algebra no holder can rebuild."""
 
 
 def fragment_digest(fragment: Fragment) -> str:
@@ -131,16 +145,6 @@ class ResidentFragment(tuple):
         return self
 
 
-def _missing(refs: Sequence[tuple], entries: Sequence) -> list[str]:
-    """Ids of the ``(fragment_id, epoch)`` references whose entry (parallel
-    to ``refs``; ``None`` = not held) is absent or at another epoch."""
-    return [
-        fragment_id
-        for (fragment_id, epoch), entry in zip(refs, entries)
-        if entry is None or entry[0] != epoch
-    ]
-
-
 class ResidentSiteState:
     """Fragment + query residency of one remote evaluation holder."""
 
@@ -156,6 +160,11 @@ class ResidentSiteState:
         #: of this holder tallies here; unlocked, so an observation --
         #: exact under a single-threaded worker).
         self.kernel_nodes: dict[str, int] = {"full": 0, "spine": 0, "open": 0}
+        #: Per-fragment results of accepted requests: served from a
+        #: resident copy's memo (``hit``) or left to evaluate (``miss``).
+        #: Unlocked and exact: :meth:`accept` runs on the holder's one
+        #: dispatching thread (the worker's loop, the server's event loop).
+        self.result_counts: dict[str, int] = {"hit": 0, "miss": 0}
 
     # ------------------------------------------------------------------
     # Residency lifecycle
@@ -179,10 +188,9 @@ class ResidentSiteState:
     def install(self, fragment: Fragment) -> None:
         """Make ``fragment`` the resident copy, at its own epoch.
 
-        Every whole-tree replacement goes through here -- a push, and
-        the serving tier's fragment view alike -- so whatever the
-        replaced copy had answered goes with it, whether or not the
-        epoch moved.
+        Every whole-tree replacement goes through here -- a push, or a
+        test swapping a site's copy -- so whatever the replaced copy
+        had answered goes with it, whether or not the epoch moved.
         """
         from repro.core.bottom_up import linearize  # local: import cycle
 
@@ -247,13 +255,6 @@ class ResidentSiteState:
         """``fragment_id -> fragment_digest`` of every resident tree."""
         return {fid: fragment_digest(entry[1]) for fid, entry in self.fragments.items()}
 
-    def missing_for(self, refs: Sequence[tuple]) -> list[str]:
-        """Which ``(fragment_id, epoch)`` references this holder cannot serve.
-
-        Epochs must match exactly: a copy is never served on its id alone.
-        """
-        return _missing(refs, [self.fragments.get(fragment_id) for fragment_id, _ in refs])
-
     # ------------------------------------------------------------------
     # Query residency
     # ------------------------------------------------------------------
@@ -315,23 +316,39 @@ class ResidentSiteState:
         (:meth:`ensure_query`) is memoized, so the memo is bounded like
         query residency is.
         """
-        # The pair the benchmark harness and the tests unpack;
-        # dispatchers that report hits call run_counted.
-        return self.run_counted(site_id, refs, qlist, algebra, segments)[:2]
+        return self.complete(self.lookup(site_id, refs, qlist, algebra), segments)[:2]
 
-    def run_counted(
+    def accept(
         self,
         site_id: str,
         refs: Sequence[tuple],
-        qlist: QList,
-        algebra,
-        segments: tuple = (),
-    ) -> tuple[tuple, float, int]:
-        """:meth:`run`, plus how many results came from the memo."""
-        return self.complete(self.lookup(site_id, refs, qlist, algebra), segments)
+        fingerprint: str,
+        qlist_obj,
+        algebra_name: str,
+    ) -> tuple:
+        """Open an execute request: the one routine both transports call.
+
+        Resolves ``algebra_name`` (:class:`UnknownAlgebraError` if no
+        holder can rebuild it), finds the resident query by
+        ``fingerprint`` (installing ``qlist_obj`` on first reference),
+        reads the memo (:meth:`lookup`, which raises
+        :class:`StaleResidentError`) and tallies the hits and misses in
+        :attr:`result_counts`.  Returns the pending job for
+        :meth:`complete`; its cold indices (``pending[2]``) say whether
+        anything is left to evaluate.
+        """
+        algebra_cls = ALGEBRAS_BY_NAME.get(algebra_name)
+        if algebra_cls is None:
+            raise UnknownAlgebraError(f"unknown algebra {algebra_name!r}")
+        qlist = self.ensure_query(fingerprint, qlist_obj)
+        pending = self.lookup(site_id, refs, qlist, algebra_cls())
+        cold = len(pending[2])
+        self.result_counts["hit"] += len(refs) - cold
+        self.result_counts["miss"] += cold
+        return pending
 
     def lookup(self, site_id: str, refs: Sequence[tuple], qlist: QList, algebra) -> tuple:
-        """The first half of :meth:`run_counted`: the epoch check and the memo reads.
+        """The first half of :meth:`run`: the epoch check and the memo reads.
 
         Raises :class:`StaleResidentError` as :meth:`run` does.  Returns
         the pending job ``(entries, items, cold, qlist, algebra,
@@ -342,9 +359,14 @@ class ResidentSiteState:
         # One read per fragment: the epoch check, the evaluation and
         # the memo all see the same entry, so a concurrent install can
         # neither slip a newer tree under an older reference nor be
-        # handed this call's results.
+        # handed this call's results.  Epochs must match exactly: a
+        # copy is never served on its id alone.
         entries = [self.fragments.get(fragment_id) for fragment_id, _ in refs]
-        missing = _missing(refs, entries)
+        missing = [
+            fragment_id
+            for (fragment_id, epoch), entry in zip(refs, entries)
+            if entry is None or entry[0] != epoch
+        ]
         if missing:
             raise StaleResidentError(site_id, missing)
         started = time.thread_time()
@@ -359,7 +381,7 @@ class ResidentSiteState:
         return entries, items, cold, qlist, algebra, time.thread_time() - started
 
     def complete(self, pending: tuple, segments: tuple = ()) -> tuple[tuple, float, int]:
-        """The second half of :meth:`run_counted`: evaluate what :meth:`lookup` left cold.
+        """The second half of :meth:`run`: evaluate what :meth:`lookup` left cold.
 
         Runs the kernel over the cold entries only, memoizes their
         items (for a resident query) and builds the result tuples.
@@ -392,6 +414,7 @@ __all__ = [
     "ResidentFragment",
     "ResidentSiteState",
     "StaleResidentError",
+    "UnknownAlgebraError",
     "fragment_digest",
     "qlist_fingerprint",
     "wire_fingerprint",

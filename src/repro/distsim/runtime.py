@@ -151,13 +151,6 @@ class Run:
         self.metrics.migration_bytes += nbytes
         return self.message(src_site, dst_site, nbytes, MSG_MIGRATE)
 
-    def ingress(self, dst_site: str, total_bytes: int, senders: int, kind: str) -> float:
-        """Record a many-to-one shipment bounded by the receiver's link."""
-        self.metrics.messages += senders
-        self.metrics.bytes_total += total_bytes
-        self.metrics.bytes_by_kind[kind] += total_bytes
-        return self.cluster.network.ingress_seconds(total_bytes, senders)
-
     def compute(self, site_id: str, thunk: Callable[[], T]) -> tuple[T, float]:
         """Execute ``thunk`` as site-local work; returns (result, seconds).
 

@@ -268,6 +268,9 @@ class MetricsRegistry:
         self.namespace = namespace
         self._lock = threading.Lock()
         self._instruments: Dict[str, _Instrument] = {}
+        #: Callables run before every snapshot, for instruments whose
+        #: truth is kept elsewhere and read in at scrape time.
+        self.collectors: list = []
 
     def _register(self, cls, name: str, help: str, labelnames: Sequence[str], **kwargs):
         with self._lock:
@@ -300,6 +303,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, object]:
         """Plain-container snapshot, safe for the restricted unpickler."""
+        for collect in self.collectors:
+            collect()
         with self._lock:
             instruments = list(self._instruments.values())
         out: Dict[str, object] = {}

@@ -67,8 +67,6 @@ from repro.serving.protocol import (
     Loaded,
     Message,
     PayloadError,
-    Ping,
-    Pong,
     ProtocolError,
     RemoteQueryError,
     SiteUnavailable,
@@ -116,7 +114,6 @@ class SiteLink:
         self._read_task: Optional[asyncio.Task] = None
         self._pending: dict[int, asyncio.Future] = {}
         self._load_waiters: list[asyncio.Future] = []
-        self._pong_waiters: dict[int, asyncio.Future] = {}
         self.loaded_sites: set[str] = set()
         self._connect_lock = asyncio.Lock()
         self._write_lock = asyncio.Lock()
@@ -166,10 +163,6 @@ class SiteLink:
                 waiter = self._load_waiters.pop(0)
                 if not waiter.done():
                     waiter.set_result(message)
-        elif isinstance(message, Pong):
-            waiter = self._pong_waiters.pop(message.nonce, None)
-            if waiter is not None and not waiter.done():
-                waiter.set_result(message)
         else:
             logger.warning("link %s: unexpected %s", self.endpoint.address(), type(message).__name__)
 
@@ -184,11 +177,10 @@ class SiteLink:
             if not future.done():
                 future.set_exception(error)
         self._pending.clear()
-        for waiter in self._load_waiters + list(self._pong_waiters.values()):
+        for waiter in self._load_waiters:
             if not waiter.done():
                 waiter.set_exception(error)
         self._load_waiters.clear()
-        self._pong_waiters.clear()
 
     async def _send(self, message: Message) -> None:
         """Write one frame; coalesce concurrent senders' drains.
@@ -232,15 +224,6 @@ class SiteLink:
         finally:
             if future in self._load_waiters:
                 self._load_waiters.remove(future)
-
-    async def ping(self, nonce: int, timeout: float) -> Message:
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pong_waiters[nonce] = future
-        try:
-            await self._send(Ping(nonce=nonce))
-            return await asyncio.wait_for(future, timeout=timeout)
-        finally:
-            self._pong_waiters.pop(nonce, None)
 
     def drop(self) -> None:
         """Abort the connection (a failed attempt poisons the socket)."""
@@ -518,20 +501,6 @@ class Coordinator:
         logger.info(
             "pushed %d fragment(s) of %s to %s", len(wires), site_id, link.endpoint.address()
         )
-
-    async def ping_all(self, timeout: Optional[float] = None) -> dict[str, bool]:
-        """Liveness sweep over every primary endpoint (health checks)."""
-        deadline = timeout or self.connect_timeout
-        health: dict[str, bool] = {}
-        for site_id, candidates in sorted(self.endpoints.items()):
-            link = self._link(candidates[0])
-            try:
-                await link.ensure()
-                await link.ping(next(self._request_ids), deadline)
-                health[site_id] = True
-            except (ProtocolError, ConnectionError, OSError, asyncio.TimeoutError):
-                health[site_id] = False
-        return health
 
     async def aclose(self) -> None:
         if self._closed:

@@ -6,23 +6,28 @@ receives its fragments once from the coordinator
 (:class:`~repro.serving.protocol.LoadFragments` -- data ships exactly
 once, the paper's "one visit" discipline extended to placement), and
 then answers :class:`~repro.serving.protocol.ExecuteRequest` messages
-by running the very same site-local loop the process executor's workers
-run (:meth:`repro.distsim.resident.ResidentSiteState.run`), replying with
-encoded triplet blobs and the deterministic operation counts.  Because the
-compute core is shared, a site server's replies are bit-for-bit what
-the simulated ledger predicts -- which is what lets the differential
-test harness use the simulation as the oracle for the whole networked
-tier.
+through the holder's one request routine -- the very one the process
+executor's pipe workers call
+(:meth:`repro.distsim.resident.ResidentSiteState.accept`, then
+``complete``) -- replying with encoded triplet blobs and the
+deterministic operation counts.  Because the request routine is
+shared, a site server's replies are bit-for-bit what the simulated
+ledger predicts -- which is what lets the differential test harness use
+the simulation as the oracle for the whole networked tier.  What is
+left here is transport: the typed ``ErrorReply`` codes (a
+:class:`~repro.distsim.resident.StaleResidentError` is sorted into
+``unknown-fragment`` vs ``stale-fragment`` from the resident ids),
+``ExecuteReply``, spans and the registry, whose resident counters are
+read from the holder's tallies at every snapshot.
 
 Concurrency model: the read loop stays on the event loop and never
-blocks.  Each execute request does its memo lookup on the loop
-(:meth:`~repro.distsim.resident.ResidentSiteState.lookup`); one that
-every fragment's memo answers is replied to right there, and only one
-with fragments left to evaluate runs the rest on a worker thread
-(``asyncio.to_thread``), so pings and further requests keep flowing
-while a big fragment evaluates.  Replies are correlated by request id
-and may complete out of order; a per-connection write lock keeps frames
-from interleaving.
+blocks.  Each execute request is accepted -- the memo lookup -- on the
+loop; one that every fragment's memo answers is replied to right
+there, and only one with fragments left to evaluate runs the rest on a
+worker thread (``asyncio.to_thread``), so pings and further requests
+keep flowing while a big fragment evaluates.  Replies are correlated by
+request id and may complete out of order; a per-connection write lock
+keeps frames from interleaving.
 
 Run standalone (the process mode the CLI and the boot-two-sites smoke
 use)::
@@ -42,9 +47,12 @@ import os
 import sys
 from typing import Optional
 
-from repro.distsim.executors import ALGEBRAS_BY_NAME
-from repro.distsim.resident import ResidentSiteState, wire_fingerprint
-from repro.fragments.fragment import Fragment
+from repro.distsim.resident import (
+    ResidentSiteState,
+    StaleResidentError,
+    UnknownAlgebraError,
+    wire_fingerprint,
+)
 from repro.obs.logging import JsonLineHandler, emit as obs_emit, install_event_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import SpanTimer, TraceContext
@@ -72,44 +80,6 @@ from repro.serving.protocol import (
 logger = logging.getLogger("repro.serving.site")
 
 
-class _FragmentView:
-    """Live mutable ``fragment_id -> Fragment`` view over resident state.
-
-    Fault tests reach in and ``clear()`` this to simulate a restarted,
-    empty site; mutations must therefore hit the underlying
-    :class:`~repro.distsim.resident.ResidentSiteState`, not a snapshot
-    -- through its own ``install`` / ``retire``, the one place a
-    resident copy (and what it had answered) is replaced.
-    """
-
-    def __init__(self, state: ResidentSiteState) -> None:
-        self._state = state
-
-    def __getitem__(self, fragment_id: str) -> Fragment:
-        return self._state.fragments[fragment_id][1]
-
-    def __setitem__(self, fragment_id: str, fragment: Fragment) -> None:
-        if fragment_id != fragment.fragment_id:
-            raise ValueError(f"fragment {fragment.fragment_id!r} filed under {fragment_id!r}")
-        self._state.install(fragment)
-
-    def __delitem__(self, fragment_id: str) -> None:
-        if not self._state.retire([fragment_id]):
-            raise KeyError(fragment_id)
-
-    def __contains__(self, fragment_id: object) -> bool:
-        return fragment_id in self._state.fragments
-
-    def __iter__(self):
-        return iter(self._state.fragments)
-
-    def __len__(self) -> int:
-        return len(self._state.fragments)
-
-    def clear(self) -> None:
-        self._state.retire(list(self._state.fragments))
-
-
 class SiteServer:
     """One asyncio TCP server evaluating jobs over resident fragments."""
 
@@ -127,15 +97,15 @@ class SiteServer:
         #: share one residency protocol (epochs, ship-once counters,
         #: site-vectorized evaluation).
         self.state = ResidentSiteState()
-        self.fragments = _FragmentView(self.state)
         #: Test hook: artificial seconds added before every execute
         #: reply, used by the timeout/retry tests to make this site
         #: reliably slower than the coordinator's deadline.
         self.delay_seconds = 0.0
-        #: Served execute requests (useful to assert replica takeover).
-        self.requests_served = 0
         #: This site's own scrapeable registry (answers MetricsRequest).
+        #: The resident gauges and counters are read from the holder's
+        #: tallies at every snapshot (:meth:`_collect`).
         self.registry = MetricsRegistry(f"site:{name}")
+        self.registry.collectors.append(self._collect)
         self._requests_total = self.registry.counter(
             "site_requests_total", "Execute requests served"
         )
@@ -154,8 +124,9 @@ class SiteServer:
             "or evaluated (miss)",
             labelnames=("result",),
         )
-        self._result_hits = results_total.labels(result="hit")
-        self._result_misses = results_total.labels(result="miss")
+        self._results = {
+            result: results_total.labels(result=result) for result in self.state.result_counts
+        }
         kernel_nodes = self.registry.counter(
             "resident_kernel_nodes_total",
             "Nodes the resident kernel really evaluated: full lane pass, "
@@ -246,7 +217,6 @@ class SiteServer:
             loaded = await asyncio.to_thread(self._load_fragments, message.fragments)
             await self._send(writer, write_lock, Loaded(fragment_ids=loaded))
         elif isinstance(message, MetricsRequest):
-            self._fragments_gauge.set(len(self.fragments))
             reply = MetricsReply(
                 request_id=message.request_id,
                 snapshot=self.registry.snapshot(),
@@ -263,10 +233,24 @@ class SiteServer:
         logger.info(
             "site %s: %d fragment(s) resident after load of %d",
             self.name,
-            len(self.fragments),
+            len(self.state.fragments),
             len(wires),
         )
-        return tuple(sorted(self.fragments))
+        return tuple(sorted(self.state.fragments))
+
+    def _collect(self) -> None:
+        """Read the holder's tallies into the registry (before every snapshot)."""
+        state = self.state
+        self._fragments_gauge.set(len(state.fragments))
+        # The holder's tallies are the counters' truth, so a counter
+        # never drifts from what a pipe worker's ``stats`` reply reports
+        # for the same requests.
+        for tally, children in (
+            (state.result_counts, self._results),
+            (state.kernel_nodes, self._kernel_nodes),
+        ):
+            for key, child in children.items():
+                child.value = float(tally[key])
 
     async def _execute(
         self, request: ExecuteRequest, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
@@ -287,39 +271,9 @@ class SiteServer:
 
     async def _run_request(self, request: ExecuteRequest) -> Message:
         refs = tuple(zip(request.fragment_ids, request.epochs))
-        missing = self.state.missing_for(refs)
-        if missing:
-            # Typed, recoverable: the coordinator re-pushes and retries.
-            # Unknown = never held (a restarted, empty site); stale =
-            # held, but the epoch says the copy predates an update.
-            unknown = [fid for fid in missing if fid not in self.state.fragments]
-            if unknown:
-                self._errors_total.labels(code=ERR_UNKNOWN_FRAGMENT).inc()
-                return ErrorReply(
-                    request.request_id,
-                    ERR_UNKNOWN_FRAGMENT,
-                    f"site {self.name} has no fragment(s) {unknown}",
-                )
-            self._errors_total.labels(code=ERR_STALE_FRAGMENT).inc()
-            return ErrorReply(
-                request.request_id,
-                ERR_STALE_FRAGMENT,
-                f"site {self.name} holds stale copies of fragment(s) {missing}",
-            )
-        algebra_cls = ALGEBRAS_BY_NAME.get(request.algebra)
-        if algebra_cls is None:
-            self._errors_total.labels(code=ERR_BAD_REQUEST).inc()
-            return ErrorReply(
-                request.request_id,
-                ERR_BAD_REQUEST,
-                f"unknown algebra {request.algebra!r}",
-            )
         # Fingerprint the wire form as received; a QList is built only
         # for a program this site does not hold yet.
-        qlist = self.state.ensure_query(
-            wire_fingerprint(request.qlist_obj), request.qlist_obj
-        )
-        segments = tuple(tuple(span) for span in request.segments)
+        fingerprint = wire_fingerprint(request.qlist_obj)
         ctx = TraceContext.from_wire(request.trace)
         timer: Optional[SpanTimer] = None
         if ctx is not None:
@@ -331,9 +285,29 @@ class SiteServer:
                 fragments=len(request.fragment_ids),
                 label=request.label,
             )
-        # The memo reads are a lookup, answered here; only a request
+        try:
+            pending = self.state.accept(
+                self.name, refs, fingerprint, request.qlist_obj, request.algebra
+            )
+        except UnknownAlgebraError as error:
+            return self._error(request, ERR_BAD_REQUEST, str(error))
+        except StaleResidentError as stale:
+            # Typed, recoverable: the coordinator re-pushes and retries.
+            # Unknown = never held (a restarted, empty site); stale =
+            # held, but the epoch says the copy predates an update.
+            unknown = [fid for fid in stale.missing if fid not in self.state.fragments]
+            if unknown:
+                return self._error(
+                    request, ERR_UNKNOWN_FRAGMENT, f"site {self.name} has no fragment(s) {unknown}"
+                )
+            return self._error(
+                request,
+                ERR_STALE_FRAGMENT,
+                f"site {self.name} holds stale copies of fragment(s) {list(stale.missing)}",
+            )
+        # The memo reads were the lookup, answered here; only a request
         # with something to evaluate (cold indices) leaves the loop.
-        pending = self.state.lookup(self.name, refs, qlist, algebra_cls())
+        segments = tuple(tuple(span) for span in request.segments)
         off_loop = bool(pending[2])
         if off_loop:
             results, seconds, hits = await asyncio.to_thread(
@@ -341,20 +315,17 @@ class SiteServer:
             )
         else:
             results, seconds, hits = self.state.complete(pending, segments)
-        self.requests_served += 1
         self._requests_total.inc()
         self._execute_seconds.observe(seconds)
-        self._result_hits.inc(hits)
-        self._result_misses.inc(len(results) - hits)
-        for mode, child in self._kernel_nodes.items():
-            evaluated = self.state.kernel_nodes[mode] - child.value
-            if evaluated > 0:  # the holder's tally is the truth; a hit adds nothing
-                child.inc(evaluated)
         spans = ()
         if timer is not None:
             span = timer.finish(seconds=round(seconds, 6), memo_hits=hits, off_loop=off_loop)
             spans = (span.to_wire(),)
         return ExecuteReply(request.request_id, results, seconds, spans, hits)
+
+    def _error(self, request: ExecuteRequest, code: str, message: str) -> ErrorReply:
+        self._errors_total.labels(code=code).inc()
+        return ErrorReply(request.request_id, code, message)
 
     async def _send(
         self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, message: Message
@@ -366,7 +337,7 @@ class SiteServer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SiteServer {self.name} {self.host}:{self.port} "
-            f"fragments={len(self.fragments)}>"
+            f"fragments={len(self.state.fragments)}>"
         )
 
 

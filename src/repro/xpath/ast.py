@@ -115,16 +115,6 @@ class BOr(BoolExpr):
     right: BoolExpr
 
 
-def conjoin(exprs: list[BoolExpr]) -> BoolExpr:
-    """Left-associated conjunction of a non-empty list."""
-    if not exprs:
-        raise ValueError("conjoin needs at least one expression")
-    out = exprs[0]
-    for expr in exprs[1:]:
-        out = BAnd(out, expr)
-    return out
-
-
 __all__ = [
     "AXIS_CHILD",
     "AXIS_DESC",
@@ -141,5 +131,4 @@ __all__ = [
     "BNot",
     "BAnd",
     "BOr",
-    "conjoin",
 ]

@@ -102,13 +102,6 @@ class TestSolving:
         with pytest.raises(CyclicDefinitionError):
             system.value_of(v("a"))
 
-    def test_solve_all(self):
-        system = BooleanEquationSystem()
-        system.define(v("a"), TRUE)
-        system.define(v("b"), make_not(v("a")))
-        solution = system.solve_all()
-        assert solution == {v("a"): True, v("b"): False}
-
 
 class TestPartialEvaluation:
     """Kleene semantics used by LazyParBoX."""

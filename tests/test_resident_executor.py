@@ -20,6 +20,8 @@ Covers the acceptance criteria of the resident-worker redesign:
 """
 
 import multiprocessing
+import os
+import signal
 import threading
 
 import pytest
@@ -45,6 +47,7 @@ from repro.distsim.resident import (
     fragment_digest,
     qlist_fingerprint,
 )
+from repro.distsim import transport
 from repro.distsim.transport import recv_payload, send_payload
 from repro.stream import MergeFragment, MoveFragment, Relabel, SplitFragment
 from repro.stream.maintainer import StreamMaintainer
@@ -287,6 +290,90 @@ class TestSelfHeal:
             assert result.answer is _oracle(cluster, "[//stock]")
 
 
+def _dying_flush(monkeypatch, executor, when, index=None, times=None):
+    """Wrap the parent-side ``submission.flush``: the worker dies mid-exchange.
+
+    ``when="before"`` kills the worker before its frame is written (the
+    write raises ``BrokenPipeError``); ``when="after"`` stops it, writes
+    the frame and then kills it, so the frame is never answered and the
+    reply read gets EOF.  Only the worker at ``index`` (any, if
+    ``None``) dies, at most ``times`` times (unbounded if ``None``).
+    Returns the list of indices killed, in order.
+    """
+    honest = transport.SubmissionQueue.flush
+    deaths = []
+
+    def kill(worker):
+        worker.process.kill()
+        worker.process.join(timeout=10)
+
+    def flush(queue):
+        worker = next(w for w in executor._workers if w is not None and w.submission is queue)
+        if (index is not None and worker.index != index) or (
+            times is not None and len(deaths) >= times
+        ):
+            return honest(queue)
+        deaths.append(worker.index)
+        if when == "before":
+            kill(worker)
+            return honest(queue)
+        os.kill(worker.process.pid, signal.SIGSTOP)  # it cannot answer this frame
+        try:
+            return honest(queue)
+        finally:
+            kill(worker)
+
+    monkeypatch.setattr(transport.SubmissionQueue, "flush", flush)
+    return deaths
+
+
+class TestMidExchangeDeath:
+    """A worker that dies between the dispatcher's pipe write and its
+    reply read -- not between batches, where ``_worker_for``'s liveness
+    check catches it before any send."""
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_the_batch_is_re_dispatched_and_exact(self, monkeypatch, when, warm):
+        cluster = build_portfolio_cluster()
+        query = QUERIES[1]
+        with ProcessSiteExecutor(max_workers=2) as executor:
+            engine = ParBoXEngine(cluster, executor=executor)
+            if warm:
+                engine.evaluate(compile_query(QUERIES[0]))
+            deaths = _dying_flush(monkeypatch, executor, when, times=1)
+            result = engine.evaluate(compile_query(query))
+            assert len(deaths) == 1
+            assert executor.stats["respawns"] == 1
+            assert result.answer is _oracle(cluster, query)
+            monkeypatch.undo()
+            # The fresh worker is a full citizen: the next batch needs
+            # no further healing and is exact too.
+            again = engine.evaluate(compile_query(QUERIES[2]))
+            assert executor.stats["respawns"] == 1
+            assert again.answer is _oracle(cluster, QUERIES[2])
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_the_attempt_limit_fails_loudly_and_leaves_the_pool_usable(
+        self, monkeypatch, when
+    ):
+        from repro.distsim.executors import _MAX_JOB_ATTEMPTS
+
+        cluster = build_portfolio_cluster()
+        with ProcessSiteExecutor(max_workers=2) as executor:
+            engine = ParBoXEngine(cluster, executor=executor)
+            # Worker 0 is kicked first, so its frame is still in flight
+            # when worker 1's last death aborts the batch.
+            deaths = _dying_flush(monkeypatch, executor, when, index=1)
+            with pytest.raises(RuntimeError, match="died repeatedly"):
+                engine.evaluate(compile_query(QUERIES[0]))
+            assert deaths == [1] * _MAX_JOB_ATTEMPTS
+            monkeypatch.undo()
+            # No reply of the aborted batch may answer a later frame.
+            for query in (QUERIES[2], QUERIES[1]):
+                assert engine.evaluate(compile_query(query)).answer is _oracle(cluster, query)
+
+
 # ---------------------------------------------------------------------------
 # Leak check: retired fragments leave worker memory
 # ---------------------------------------------------------------------------
@@ -364,7 +451,7 @@ class TestResidentSiteState:
         assert info.value.missing == ("F2",)
         assert "S2" in str(info.value)
         # The stale copy still answers exact-old refs, and only those.
-        assert state.missing_for([("F2", stale_epoch)]) == []
+        state.run("S2", [("F2", stale_epoch)], compile_query("[//stock]"), CanonicalAlgebra())
 
     def test_receive_counts_witness_each_push(self, cluster):
         state = ResidentSiteState()
@@ -383,7 +470,14 @@ class TestResidentSiteState:
         assert state.resident_epochs() == {"F1": cluster.fragment("F1").epoch}
         assert state.retire(["F1", "F9"]) == 1
         assert state.resident_epochs() == {}
-        assert state.missing_for([("F1", cluster.fragment("F1").epoch)]) == ["F1"]
+        with pytest.raises(StaleResidentError) as info:
+            state.lookup(
+                "S1",
+                [("F1", cluster.fragment("F1").epoch)],
+                compile_query("[//stock]"),
+                CanonicalAlgebra(),
+            )
+        assert info.value.missing == ("F1",)
 
     def test_query_cache_is_fingerprint_keyed(self):
         state = ResidentSiteState()

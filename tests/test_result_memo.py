@@ -120,6 +120,11 @@ def _assert_sizes_are_fresh(triplet):
     assert triplet.is_ground() == (not expected_vars)
 
 
+def _counted(state, site_id, refs, qlist, algebra, segments=()):
+    """``run`` plus the memo hits: the holder's two halves, lookup then complete."""
+    return state.complete(state.lookup(site_id, refs, qlist, algebra), segments)
+
+
 def _decoded(results):
     decoded = []
     for blob, nodes, ops, segment_ops in results:
@@ -157,14 +162,14 @@ def _check_warm_state_equals_fresh_state(seed):
         ):
             before = answered.get((p, a), {})
             expected_hits = sum(before.get(fid) == epoch for fid, epoch in refs)
-            first, _, hits = warm.run_counted("S", refs, _resident(warm, qlist), algebra, segments)
+            first, _, hits = _counted(warm, "S", refs, _resident(warm, qlist), algebra, segments)
             assert hits == expected_hits
-            again, _, all_hits = warm.run_counted(
-                "S", refs, _resident(warm, qlist), algebra, segments
+            again, _, all_hits = _counted(
+                warm, "S", refs, _resident(warm, qlist), algebra, segments
             )
             assert all_hits == len(refs) and again == first  # the very same blobs
-            cold, _, no_hits = fresh.run_counted(
-                "S", refs, _resident(fresh, qlist), algebra, segments
+            cold, _, no_hits = _counted(
+                fresh, "S", refs, _resident(fresh, qlist), algebra, segments
             )
             assert no_hits == 0
             clear_interned()
@@ -550,6 +555,32 @@ class TestInternTable:
         assert again == first and again is not first
         assert len(vectors._interned) == INTERN_CAP
 
+    def test_racing_decoders_of_equal_bytes_share_the_first_stored_object(self, monkeypatch):
+        threads = 4
+        blob = VectorTriplet("F1", (), (), ()).to_blob()
+        barrier = threading.Barrier(threads)
+        honest = vectors.restricted_loads
+
+        def slowed(data):
+            barrier.wait(timeout=10)  # every thread has missed the table by now
+            return honest(data)
+
+        monkeypatch.setattr(vectors, "restricted_loads", slowed)
+        clear_interned()
+        got = [None] * threads
+
+        def decode(index):
+            got[index] = VectorTriplet.from_compact(blob)
+
+        workers = [threading.Thread(target=decode, args=(i,)) for i in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got[0] is not None and all(triplet is got[0] for triplet in got)
+        assert vectors._interned[blob] is got[0]
+
     def test_a_resent_result_is_decoded_once(self, monkeypatch):
         cluster = chain_ft2(6, 0.3, seed=3, nodes_per_mb=60)
         queries = list(BOOK.values())
@@ -678,7 +709,7 @@ class TestQueryResidency:
             state.ensure_query(qlist_fingerprint(qlists[0]))
         reinstalled = _resident(state, qlists[0])
         assert reinstalled is not oldest
-        after, _, hits = state.run_counted("S", refs, reinstalled, algebra)
+        after, _, hits = _counted(state, "S", refs, reinstalled, algebra)
         assert hits == 0
         clear_interned()
         assert _decoded(after) == _decoded(before)
@@ -691,8 +722,8 @@ class TestQueryResidency:
         stranger = compile_query("[//stock]")
         refs = [("F2", fragment.epoch)]
         for _ in range(2):
-            ((blob, nodes, _ops, _segments),), _, hits = state.run_counted(
-                "S", refs, stranger, CanonicalAlgebra()
+            ((blob, nodes, _ops, _segments),), _, hits = _counted(
+                state, "S", refs, stranger, CanonicalAlgebra()
             )
             assert hits == 0
             expected, stats = bottom_up(fragment, stranger, CanonicalAlgebra())
@@ -719,7 +750,7 @@ class TestQueryResidency:
 
 
 class TestOneInstallPath:
-    def test_swapping_a_fragment_through_the_view_changes_the_next_answer(self):
+    def test_swapping_a_resident_copy_changes_the_next_answer(self):
         cluster = build_portfolio_cluster()
         query = '[//stock[sell = "372"]]'
         with hard_deadline(60), ServingCluster(cluster) as serving:
@@ -727,7 +758,7 @@ class TestOneInstallPath:
                 assert list(session.evaluate_batch([query]).answers) == [True]
                 assert list(session.evaluate_batch([query]).answers) == [True]  # memoized
                 # The same id at the same epoch, another tree: what an
-                # operator's fix-up through the view amounts to.
+                # operator's fix-up of a site's copy amounts to.
                 swapped = cluster.fragment("F2").deep_copy()
                 swapped.epoch = cluster.fragment("F2").epoch
                 swapped.root.find_first(lambda n: n.label == "sell").text = "1"
@@ -735,19 +766,16 @@ class TestOneInstallPath:
                     server
                     for servers in serving.sites.values()
                     for server in servers
-                    if "F2" in server.fragments
+                    if "F2" in server.state.fragments
                 )
-                server.fragments["F2"] = swapped
-                assert server.fragments["F2"] is swapped
+                server.state.install(swapped)
+                assert server.state.fragments["F2"][1] is swapped
                 assert list(session.evaluate_batch([query]).answers) == [False]
-                with pytest.raises(ValueError):
-                    server.fragments["F1"] = swapped
-                # Deleting through the view is a retire: the next batch
-                # finds the site empty-handed and re-pushes the original.
+                # A retire: the next batch finds the site empty-handed
+                # and re-pushes the original.
                 repushes = serving.gateway.coordinator.stats["repushes"]
-                del server.fragments["F2"]
-                with pytest.raises(KeyError):
-                    del server.fragments["F2"]
+                assert server.state.retire(["F2"]) == 1
+                assert server.state.retire(["F2"]) == 0
                 assert list(session.evaluate_batch([query]).answers) == [True]
                 assert serving.gateway.coordinator.stats["repushes"] == repushes + 1
 
@@ -869,7 +897,7 @@ class TestSiteLoop:
         fresh = ResidentSiteState()
         fresh.store([resident_fragment_wire(fragment) for fragment in fragments])
         refs = [(fragment.fragment_id, fragment.epoch) for fragment in fragments]
-        expected, _, _ = fresh.run_counted(
+        expected, _ = fresh.run(
             "S0", refs, _resident(fresh, plan.combined), algebra, plan.segments
         )
 
@@ -887,7 +915,7 @@ class TestSiteLoop:
                 # copy is new, so its memo is empty and this one is cold.
                 copy = fragments[1].deep_copy()
                 copy.epoch = fragments[1].epoch
-                server.fragments[copy.fragment_id] = copy
+                server.state.install(copy)
                 (mixed,) = await _ask(reader, writer, request)
                 return cold, warm, mixed
             finally:

@@ -179,7 +179,7 @@ def test_unknown_fragment_triggers_in_band_repush():
             # connections stay up, so reconnect-repush cannot mask this.
             for servers in serving.sites.values():
                 for server in servers:
-                    server.fragments.clear()
+                    server.state.retire(list(server.state.fragments))
             before = serving.gateway.coordinator.stats["repushes"]
             assert_matches_oracle(cluster, serving, "parbox", queries)
             after = serving.gateway.coordinator.stats["repushes"]

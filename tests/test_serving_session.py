@@ -111,7 +111,8 @@ def test_one_session_many_batches_one_connection():
                 session.evaluate_batch(queries)
             client = session.engine._client
             assert client is not None and not client.closed
-        assert the_site(serving).requests_served >= 5
+        served = the_site(serving).registry.snapshot()["site_requests_total"]["values"]
+        assert served[""] >= 5
 
 
 def test_parse_net_spec_forms():
