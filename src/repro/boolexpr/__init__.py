@@ -10,9 +10,12 @@ still-unknown results of sub-fragments.  This package provides:
   deduplication, complement absorption);
 * :func:`comp_fm` -- the paper's ``compFm`` composition procedure
   (Fig. 3(b)), and the two composition *algebras* used by the ablation
-  study (:class:`CanonicalAlgebra` vs :class:`PaperAlgebra`);
-* :class:`BooleanEquationSystem` -- the solver used by ``evalST`` to
-  unify variables bottom-up over the source tree (Example 3.3).
+  study (:class:`CanonicalAlgebra` vs :class:`PaperAlgebra`).
+
+:meth:`Formula.evaluate` is the one evaluator, three-valued: a variable
+the assignment does not hold is unknown.  ``evalST``
+(:mod:`repro.core.eval_st`) solves the equation system the fragment
+tree forms with it, in one bottom-up pass (Example 3.3).
 """
 
 from repro.boolexpr.formula import (
@@ -35,7 +38,6 @@ from repro.boolexpr.compose import (
     PaperAlgebra,
     comp_fm,
 )
-from repro.boolexpr.equations import BooleanEquationSystem, CyclicDefinitionError, UnboundVariableError
 
 __all__ = [
     "Formula",
@@ -54,7 +56,4 @@ __all__ = [
     "FormulaAlgebra",
     "CanonicalAlgebra",
     "PaperAlgebra",
-    "BooleanEquationSystem",
-    "CyclicDefinitionError",
-    "UnboundVariableError",
 ]

@@ -23,8 +23,8 @@ in a per-class pool, so structurally equal formulas built in one process
 are one object.  That turns the partial-evaluation hot loop's costs
 from per-occurrence into per-distinct-formula: ``sort_key`` / ``size`` /
 ``variables`` are each computed once and cached on the instance, pool
-hits skip allocation entirely, and downstream memo tables (the equation
-solver, the compact triplet codec) key on formulas with cached hashes.
+hits skip allocation entirely, and downstream tables (the compact
+triplet codec's) key on formulas with cached hashes.
 The pools hold weak references, so formulas no longer reachable from
 live triplets are garbage-collected normally.  Interning is best-effort
 under free-threading -- a rare race can leave two equal instances alive
@@ -90,8 +90,12 @@ class Formula:
         return not self.variables()
 
     # -- evaluation / substitution -------------------------------------------
-    def evaluate(self, env: Mapping["Var", bool]) -> bool:
-        """Evaluate under a total assignment; raises ``KeyError`` on gaps."""
+    def evaluate(self, env: Mapping["Var", bool]) -> Optional[bool]:
+        """Kleene's three-valued value under ``env`` (anything with ``get``).
+
+        A variable ``env`` does not hold is unknown (``None``); unknowns
+        propagate unless the known operands decide (``x OR 1 == 1``).
+        """
         raise NotImplementedError
 
     def substitute(self, env: Mapping["Var", "Formula"]) -> "Formula":
@@ -158,7 +162,7 @@ class Const(Formula):
     def _compute_variables(self) -> frozenset["Var"]:
         return frozenset()
 
-    def evaluate(self, env: Mapping["Var", bool]) -> bool:
+    def evaluate(self, env: Mapping["Var", bool]) -> Optional[bool]:
         return self.value
 
     def substitute(self, env: Mapping["Var", "Formula"]) -> "Formula":
@@ -218,8 +222,8 @@ class Var(Formula):
     def _compute_variables(self) -> frozenset["Var"]:
         return frozenset((self,))
 
-    def evaluate(self, env: Mapping["Var", bool]) -> bool:
-        return env[self]
+    def evaluate(self, env: Mapping["Var", bool]) -> Optional[bool]:
+        return env.get(self)
 
     def substitute(self, env: Mapping["Var", "Formula"]) -> "Formula":
         return env.get(self, self)
@@ -257,8 +261,9 @@ class Not(Formula):
     def _compute_variables(self) -> frozenset["Var"]:
         return self.child.variables()
 
-    def evaluate(self, env: Mapping["Var", bool]) -> bool:
-        return not self.child.evaluate(env)
+    def evaluate(self, env: Mapping["Var", bool]) -> Optional[bool]:
+        value = self.child.evaluate(env)
+        return None if value is None else not value
 
     def substitute(self, env: Mapping["Var", "Formula"]) -> "Formula":
         return make_not(self.child.substitute(env))
@@ -326,8 +331,15 @@ class And(_NAry):
     _JOIN = " & "
     _pool: "WeakValueDictionary[tuple, And]" = WeakValueDictionary()
 
-    def evaluate(self, env: Mapping["Var", bool]) -> bool:
-        return all(child.evaluate(env) for child in self.children)
+    def evaluate(self, env: Mapping["Var", bool]) -> Optional[bool]:
+        unknown = False
+        for child in self.children:
+            value = child.evaluate(env)
+            if value is False:
+                return False
+            if value is None:
+                unknown = True
+        return None if unknown else True
 
     def substitute(self, env: Mapping["Var", "Formula"]) -> "Formula":
         return make_and(*(child.substitute(env) for child in self.children))
@@ -342,8 +354,15 @@ class Or(_NAry):
     _JOIN = " | "
     _pool: "WeakValueDictionary[tuple, Or]" = WeakValueDictionary()
 
-    def evaluate(self, env: Mapping["Var", bool]) -> bool:
-        return any(child.evaluate(env) for child in self.children)
+    def evaluate(self, env: Mapping["Var", bool]) -> Optional[bool]:
+        unknown = False
+        for child in self.children:
+            value = child.evaluate(env)
+            if value is True:
+                return True
+            if value is None:
+                unknown = True
+        return None if unknown else False
 
     def substitute(self, env: Mapping["Var", "Formula"]) -> "Formula":
         return make_or(*(child.substitute(env) for child in self.children))

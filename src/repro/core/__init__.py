@@ -3,7 +3,7 @@
 * :func:`~repro.core.bottom_up.bottom_up` -- per-fragment partial
   evaluation (Fig. 3(b));
 * :func:`~repro.core.eval_st.eval_st` -- composition of partial answers
-  via Boolean equation solving;
+  by one bottom-up pass over the source tree;
 * :class:`ParBoXEngine` -- the three-stage algorithm (Fig. 3(a));
 * :class:`HybridParBoXEngine`, :class:`FullDistParBoXEngine`,
   :class:`LazyParBoXEngine` -- the Section 4 variants;
@@ -32,13 +32,7 @@ from repro.core.centralized import (
     CentralizedStats,
 )
 from repro.core.engine import Engine
-from repro.core.eval_st import (
-    answer_variable,
-    build_equation_system,
-    eval_st,
-    eval_st_many,
-    resolve_triplet,
-)
+from repro.core.eval_st import eval_st, eval_st_many
 from repro.core.plan import (
     BatchPlan,
     CompiledQuery,
@@ -94,9 +88,6 @@ __all__ = [
     "Engine",
     "eval_st",
     "eval_st_many",
-    "build_equation_system",
-    "answer_variable",
-    "resolve_triplet",
     "BatchPlan",
     "CompiledQuery",
     "QueryCache",

@@ -23,9 +23,8 @@ here:
 from __future__ import annotations
 
 from repro.core.engine import MSG_GROUND_TRIPLET, Engine
-from repro.core.eval_st import resolve_triplet
+from repro.core.eval_st import FragmentSolve, resolve_ground
 from repro.core.plan import BatchPlan
-from repro.core.vectors import VectorTriplet
 
 
 class FullDistParBoXEngine(Engine):
@@ -46,7 +45,7 @@ class FullDistParBoXEngine(Engine):
         )
 
         # Stage 3 (evalDistrST): resolve bottom-up along the source tree.
-        ready: dict[str, tuple[VectorTriplet, float]] = {}
+        ready: dict[str, tuple[FragmentSolve, int, float]] = {}
         stack: list[tuple[str, bool]] = [(source_tree.root_fragment_id, False)]
         while stack:
             fragment_id, expanded = stack.pop()
@@ -59,26 +58,23 @@ class FullDistParBoXEngine(Engine):
             site_id = source_tree.site_of(fragment_id)
             children = source_tree.children_of(fragment_id)
             ready_time = site_finish[site_id]
-            child_triplets: dict[str, VectorTriplet] = {}
+            child_values: dict[str, FragmentSolve] = {}
             for child_id in children:
-                child_triplet, child_time = ready[child_id]
+                child_values[child_id], child_bytes, child_time = ready[child_id]
                 child_site = source_tree.site_of(child_id)
-                transfer = run.message(
-                    child_site, site_id, child_triplet.wire_bytes(), MSG_GROUND_TRIPLET
-                )
+                transfer = run.message(child_site, site_id, child_bytes, MSG_GROUND_TRIPLET)
                 ready_time = max(ready_time, child_time + transfer)
-                child_triplets[child_id] = child_triplet
             if children:
                 # Stage-3 activation of the site for this fragment.
                 run.visit(site_id)
-            (ground, resolve_seconds) = run.compute(
+            ((solved, ground), resolve_seconds) = run.compute(
                 site_id,
-                lambda t=triplets[fragment_id], c=child_triplets: resolve_triplet(t, c),
+                lambda t=triplets[fragment_id], c=child_values: resolve_ground(t, c),
             )
-            ready[fragment_id] = (ground, ready_time + resolve_seconds)
+            ready[fragment_id] = (solved, ground.wire_bytes(), ready_time + resolve_seconds)
 
-        root_triplet, elapsed = ready[source_tree.root_fragment_id]
-        answers = [root_triplet.v[index].evaluate({}) for index in plan.answer_indices]
+        root_values, _, elapsed = ready[source_tree.root_fragment_id]
+        answers = [bool(root_values.value[0] >> index & 1) for index in plan.answer_indices]
         return answers, run, elapsed, dict(triplets=len(triplets))
 
 

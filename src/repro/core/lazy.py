@@ -3,10 +3,12 @@
 Eager ParBoX evaluates every fragment even when shallow fragments
 already determine the answer.  LazyParBoX instead walks the source tree
 by increasing depth: at step *i* it requests evaluation only of the
-fragments at depth *i*, merges the new triplets into the growing
-Boolean equation system and stops as soon as the answer resolves
-(three-valued/Kleene evaluation: unknown sub-fragment variables may be
-irrelevant, e.g. ``x OR true``).
+fragments at depth *i* and stops as soon as the answer resolves: each
+step runs evalST's walk (:func:`~repro.core.eval_st.walk`) over the
+triplets at hand, three-valued -- a fragment not yet fetched is
+unknown, and may be irrelevant (Kleene, e.g. ``x OR true``).  The walk
+keeps its masks across steps: a step re-solves only the new fragments
+and their ancestors.
 
 Costs (paper Fig. 4): sites may be visited once per fragment (across
 steps); only fragments at the same depth evaluate in parallel (each
@@ -21,9 +23,8 @@ roughly 3x ParBoX when the satisfying fragment sits mid-tree
 
 from __future__ import annotations
 
-from repro.boolexpr.formula import Var
 from repro.core.engine import CONTROL_BYTES, MSG_CONTROL, MSG_QUERY, MSG_TRIPLET, Engine
-from repro.core.eval_st import answer_variable, build_equation_system
+from repro.core.eval_st import RetainedSolve, walk
 from repro.core.plan import BatchPlan
 from repro.core.vectors import VectorTriplet
 
@@ -45,16 +46,14 @@ class LazyParBoXEngine(Engine):
         source_tree = self.cluster.source_tree()
         coordinator = source_tree.coordinator_site
         query_bytes = plan.combined.wire_bytes()
-        targets = [
-            answer_variable(source_tree, index=index) for index in plan.answer_indices
-        ]
         # Duplicate queries share an answer entry: resolve each once.
-        open_targets = list(dict.fromkeys(targets))
+        open_entries = list(dict.fromkeys(plan.answer_indices))
 
         triplets: dict[str, VectorTriplet] = {}
+        solved = RetainedSolve()
         queried_sites: set[str] = set()
         elapsed = 0.0
-        verdicts: dict[Var, bool] = {}
+        verdicts: dict[int, bool] = {}
         steps_evaluated = 0
 
         # The paper's first step covers the coordinator AND depth 1
@@ -112,40 +111,24 @@ class LazyParBoXEngine(Engine):
             elapsed += run.join(step_finish)
 
             # Try to resolve the still-open queries with what we have.
-            (resolved, combine_seconds) = run.compute(
-                coordinator, lambda: _try_answers(triplets, open_targets)
+            ((resolved, _), combine_seconds) = run.compute(
+                coordinator,
+                lambda: walk(solved, triplets, source_tree, open_entries),
             )
             elapsed += combine_seconds
-            verdicts.update(resolved)
-            open_targets = [t for t in open_targets if t not in verdicts]
-            if not open_targets:
+            verdicts.update((e, v) for e, v in zip(open_entries, resolved) if v is not None)
+            open_entries = [entry for entry in open_entries if entry not in verdicts]
+            if not open_entries:
                 break
 
-        if open_targets:  # all depths evaluated; the system must resolve now
+        if open_entries:  # all depths evaluated; the system must resolve now
             raise RuntimeError("LazyParBoX failed to resolve after all depths")
-        answers = [verdicts[target] for target in targets]
+        answers = [verdicts[entry] for entry in plan.answer_indices]
         details = dict(
             fragments_evaluated=len(triplets),
             steps_evaluated=steps_evaluated,
         )
         return answers, run, elapsed, details
-
-
-def _try_answers(
-    triplets: dict[str, VectorTriplet], targets: list[Var]
-) -> dict[Var, bool]:
-    """Kleene-evaluate the open answer variables against the partial system.
-
-    Returns only the targets that resolved; one memoized system serves
-    every query of the batch.
-    """
-    system = build_equation_system(triplets)
-    resolved: dict[Var, bool] = {}
-    for target in targets:
-        verdict = system.partial_value_of(target)
-        if verdict is not None:
-            resolved[target] = verdict
-    return resolved
 
 
 __all__ = ["LazyParBoXEngine"]

@@ -11,7 +11,7 @@ and a variable-free Boolean vector triplet up, for ``O(|q| card(F))``
 total traffic and zero data shipping.
 
 Implementation note: a site's local work is expressed as ``bottom_up``
-followed by substitution of the children's ground triplets, which
+followed by evalST's step over the children's ground values, which
 computes exactly what the paper's suspended in-fragment traversal
 computes; the sequential cost accounting (sum of all per-fragment
 compute and message times) matches the paper's execution structure.
@@ -20,9 +20,8 @@ compute and message times) matches the paper's execution structure.
 from __future__ import annotations
 
 from repro.core.engine import CONTROL_BYTES, MSG_CONTROL, MSG_GROUND_TRIPLET, MSG_QUERY, Engine
-from repro.core.eval_st import resolve_triplet
+from repro.core.eval_st import FragmentSolve, resolve_ground
 from repro.core.plan import BatchPlan
-from repro.core.vectors import VectorTriplet
 
 
 class NaiveDistributedEngine(Engine):
@@ -42,7 +41,7 @@ class NaiveDistributedEngine(Engine):
 
         # Iterative post-order over the fragment tree (avoids Python
         # recursion limits on pathological chain fragmentations).
-        resolved: dict[str, VectorTriplet] = {}
+        resolved: dict[str, FragmentSolve] = {}
         stack: list[tuple[str, bool]] = [(root_fragment, False)]
         while stack:
             fragment_id, expanded = stack.pop()
@@ -88,10 +87,9 @@ class NaiveDistributedEngine(Engine):
             for segment_index, ops in enumerate(fragment_outcome.segment_ops):
                 run.add_segment_ops(segment_index, ops)
             children = {cid: resolved[cid] for cid in source_tree.children_of(fragment_id)}
-            (ground, resolve_seconds) = run.compute(
-                site_id, lambda t=triplet, c=children: resolve_triplet(t, c)
+            ((resolved[fragment_id], ground), resolve_seconds) = run.compute(
+                site_id, lambda t=triplet, c=children: resolve_ground(t, c)
             )
-            resolved[fragment_id] = ground
             elapsed_total += compute_seconds + resolve_seconds
 
             # The ground result returns to the caller.
@@ -99,8 +97,8 @@ class NaiveDistributedEngine(Engine):
                 site_id, caller_site, ground.wire_bytes(), MSG_GROUND_TRIPLET
             )
 
-        root_vector = resolved[root_fragment].v
-        answers = [root_vector[index].evaluate({}) for index in plan.answer_indices]
+        root_values = resolved[root_fragment].value[0]
+        answers = [bool(root_values >> index & 1) for index in plan.answer_indices]
         return answers, run, elapsed_total, {}
 
 

@@ -8,8 +8,9 @@ Three stages:
    fragment and sends all resulting triplets back in one reply -- this
    is why each site is visited exactly once regardless of how many
    fragments it stores;
-3. the coordinator solves the Boolean equation system (``evalST``),
-   re-solving only what changed since the plan's last solve.
+3. the coordinator solves the Boolean equation system (``evalST``) in
+   one post-order pass, re-solving only what changed since the plan's
+   last solve.
 
 Stage 2 is dispatched as one :class:`~repro.distsim.executors.SiteJob`
 per site through the run's executor, so with ``executor="threads"`` or
@@ -48,7 +49,7 @@ class ParBoXEngine(Engine):
         )
 
         # Stage 3: compose partial answers at the coordinator.  One
-        # equation-system solve yields every query's answer entry.
+        # post-order pass yields every query's answer entry.
         ((answers, fragments_solved), combine_seconds) = run.compute(
             coordinator,
             lambda: assemble(plan.solved, triplets, source_tree, plan.answer_indices),

@@ -9,9 +9,10 @@ nodes* reachable via ``p`` from the root of the fragmented tree.
 Protocol (two visits per site):
 
 1. **Visit 1 -- qualifier resolution.**  Plain ParBoX stage 2: every
-   site returns ``(V, CV, DV)`` triplets.  The coordinator solves the
-   Boolean equation system for the ground value of every
-   ``Var(F, kind, i)`` of a virtual node -- exactly what visit 2 ships.
+   site returns ``(V, CV, DV)`` triplets.  The coordinator's post-order
+   pass solves every entry of every non-root fragment: the ground value
+   of every ``Var(F, kind, i)`` of a virtual node -- exactly what visit
+   2 ships.
 2. **Visit 2 -- conditional selection.**  The coordinator sends each
    site the ground values of the variables of its fragments' virtual
    nodes.  With those, a site (a) re-runs a *ground* bottom-up pass to
@@ -39,7 +40,7 @@ from typing import Iterable, Mapping, Optional, Union
 from repro.boolexpr.formula import Var
 from repro.core.bottom_up import compile_entries
 from repro.core.engine import MSG_CONTROL, MSG_TRIPLET, Engine
-from repro.core.eval_st import build_equation_system
+from repro.core.eval_st import solve_every
 from repro.core.plan import BatchPlan, attribute_costs, coerce_plan
 from repro.core.vectors import VectorTriplet
 from repro.distsim.metrics import EvalResult, QueryCost
@@ -357,15 +358,18 @@ class SelectionEngine(Engine):
         )
 
         def solve_envs() -> dict[str, dict[Var, bool]]:
-            # Through the lazy resolver, exactly the variables visit 2
-            # ships: V / CV / DV of every sub-fragment, per fragment.
-            system = build_equation_system(triplets)
+            # The post-order pass wanting what visit 2 ships: V / CV / DV
+            # of every sub-fragment, per fragment.
+            solved = {}
+            for fragment_id in reversed(source_tree.fragment_ids()):
+                if fragment_id != source_tree.root_fragment_id:
+                    solved[fragment_id] = solve_every(triplets[fragment_id], solved)
             return {
                 fragment_id: {
-                    var: system.value_of(var)
+                    Var(sub, kind, index): bool(solved[sub].value[slot] >> index & 1)
                     for sub in self.cluster.fragment(fragment_id).sub_fragment_ids()
-                    for kind in ("V", "CV", "DV")
-                    for var in (Var(sub, kind, index) for index in range(len(triplets[sub])))
+                    for slot, kind in enumerate(("V", "CV", "DV"))
+                    for index in range(len(triplets[sub]))
                 }
                 for fragment_id in triplets
             }

@@ -17,7 +17,7 @@ import json
 import pickle
 import threading
 from collections import OrderedDict
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from repro.boolexpr.formula import (
     FALSE,
@@ -112,32 +112,6 @@ class VectorTriplet:
     def is_ground(self) -> bool:
         """True when no variables remain (leaf fragments, resolved triplets)."""
         return self.variable_count() == 0
-
-    # ------------------------------------------------------------------
-    # Resolution
-    # ------------------------------------------------------------------
-    def substitute(self, env: Mapping[Var, Formula]) -> "VectorTriplet":
-        """Replace variables, yielding a new (possibly ground) triplet."""
-        return VectorTriplet(
-            self.fragment_id,
-            (formula.substitute(env) for formula in self.v),
-            (formula.substitute(env) for formula in self.cv),
-            (formula.substitute(env) for formula in self.dv),
-        )
-
-    def binding_env(self) -> dict[Var, Formula]:
-        """The variable bindings this triplet *provides* to its parent.
-
-        For every index ``i``, maps ``Var(F_j, 'V', i) -> V[i]`` and
-        likewise for CV/DV.  Used when resolving a parent's triplet from
-        its children's (NaiveDistributed, FullDistParBoX, evalST).
-        """
-        env: dict[Var, Formula] = {}
-        for index in range(len(self.v)):
-            env[Var(self.fragment_id, "V", index)] = self.v[index]
-            env[Var(self.fragment_id, "CV", index)] = self.cv[index]
-            env[Var(self.fragment_id, "DV", index)] = self.dv[index]
-        return env
 
     def shifted(self, delta: int) -> "VectorTriplet":
         """Shift every variable's QList index by ``delta`` (entries as-is).
@@ -316,11 +290,16 @@ class VectorTriplet:
         if isinstance(wire, tuple):
             return cls._from_compact_tuple(wire)
         blob = wire if type(wire) is bytes else bytes(wire)
-        with _intern_lock:
-            triplet = _interned.get(blob)
-            if triplet is not None:
+        # No lock on a hit: each table call is one C call under the GIL.
+        # Readers sleeping on a lock here convoy on one CPU (a woken
+        # sleeper preempts a busy thread) and starve the other threads.
+        triplet = _interned.get(blob)
+        if triplet is not None:
+            try:
                 _interned.move_to_end(blob)
-                return triplet
+            except KeyError:  # evicted since the read; the object stands
+                pass
+            return triplet
         try:
             compact = restricted_loads(blob)
         except Exception as error:  # pickle raises a wide, undocumented set

@@ -97,6 +97,11 @@ class SourceTree:
         self._parents = dict(parents)
         self._children = {fid: list(subs) for fid, subs in children.items()}
         self._site_by_fragment = dict(site_by_fragment)
+        preorder, stack = [], [root_fragment_id]
+        while stack:
+            preorder.append(stack.pop())
+            stack.extend(reversed(self._children[preorder[-1]]))
+        self._preorder = tuple(preorder)
 
     @classmethod
     def from_fragmented_tree(cls, tree: FragmentedTree, placement: Placement) -> "SourceTree":
@@ -142,15 +147,11 @@ class SourceTree:
     # ------------------------------------------------------------------
     def fragment_ids(self) -> list[str]:
         """All fragment ids, pre-order."""
-        return list(self.iter_fragments_preorder())
+        return list(self._preorder)
 
     def iter_fragments_preorder(self) -> Iterator[str]:
-        """Pre-order traversal of the fragment-tree shape."""
-        stack = [self.root_fragment_id]
-        while stack:
-            fragment_id = stack.pop()
-            yield fragment_id
-            stack.extend(reversed(self._children[fragment_id]))
+        """Pre-order traversal of the fragment-tree shape (fixed at build)."""
+        return iter(self._preorder)
 
     def parent_of(self, fragment_id: str) -> Optional[str]:
         """Parent fragment id (None for the root fragment)."""

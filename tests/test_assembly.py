@@ -1,10 +1,18 @@
-"""The retained solve: re-solve only what changed, answer as a fresh solve.
+"""evalST's post-order walk and its retained solve.
 
-:func:`repro.core.eval_st.assemble` keeps, per plan (or standing
-segment), what it solved per fragment, and re-reads only the fragments
-whose triplet is not the retained object, plus their ancestors; a new
-``SourceTree`` object re-solves everything.  Checked here:
+:func:`repro.core.eval_st.assemble` walks the fragments bottom-up,
+evaluating only the entries a parent reads, and keeps, per plan (or standing segment), what it solved per fragment; it
+re-reads only the fragments whose triplet is not the retained object,
+plus their ancestors; a new ``SourceTree`` object re-solves everything.
+Checked here:
 
+* property: the demand set is closed -- every variable in a demanded
+  entry's formula is itself demanded -- the walk asks for nothing
+  outside it, and ParBoX, LazyParBoX,
+  FullDistParBoX, NaiveDistributed and Selection, which all compose
+  through the one step, answer as centralized evaluation of the
+  stitched tree, on chain, star and random fragment trees under both
+  algebras with batches of 1-4 queries;
 * property: under streams of edits (the edited fragments re-evaluated,
   every other triplet kept), re-decoded equal-content triplets and
   split / merge / move, on chain, star and random fragment trees under
@@ -29,16 +37,19 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.boolexpr import Var
 from repro.boolexpr.compose import CanonicalAlgebra, PaperAlgebra
+from repro.core import (
+    FullDistParBoXEngine,
+    LazyParBoXEngine,
+    NaiveDistributedEngine,
+    ParBoXEngine,
+    SelectionEngine,
+    select_centralized,
+)
 from repro.core.bottom_up import bottom_up
 from repro.core.centralized import evaluate_tree_many
-from repro.core.eval_st import (
-    RetainedSolve,
-    assemble,
-    build_equation_system,
-    eval_st_many,
-)
+from repro.core.eval_st import RetainedSolve, assemble, eval_st_many, solve_every
+from repro.xpath.qlist import OP_CHILD, OP_DESC
 from repro.core.plan import plan_batch
 from repro.core.session import QuerySession
 from repro.core.vectors import VectorTriplet, clear_interned
@@ -54,7 +65,6 @@ from test_serving_differential import deterministic_ledger
 
 SHAPES = ("chain", "star", "random")
 ALGEBRAS = (CanonicalAlgebra, PaperAlgebra)
-KINDS = ("V", "CV", "DV")
 
 #: Labels and texts of both the XMark-like topologies and the random trees.
 _LABELS = ("a", "b", "seal", "bidder", "item", "note")
@@ -108,6 +118,69 @@ def _root_paths(source_tree, fragment_ids):
     return paths
 
 
+#: Path-shaped queries (with qualifiers) for Selection's node sets.
+_SELECTIONS = ("[//bidder]", "[//seal]", "[//a/b]", '[//item[text() = "3"]]', "[//b]", "[//note]")
+
+
+def _check_demand_and_engines(seed, shape, algebra_cls):
+    rng = random.Random(seed)
+    cluster = _cluster(shape, rng)
+    algebra = algebra_cls()
+    source_tree = cluster.source_tree()
+    fragment_ids = source_tree.fragment_ids()
+    pool = _QUERIES + tuple(f'[//seal = "seal-{fid}"]' for fid in fragment_ids)
+    plan = plan_batch([compile_query(text) for text in rng.sample(pool, rng.randint(1, 4))])
+    whole = cluster.fragmented_tree.stitch()
+    oracle, _ = evaluate_tree_many(whole, plan.combined, plan.answer_indices)
+
+    # Demand closure: a parent reads a child only at V[i] where some
+    # entry is */q_i and at DV[i] where one is //q_i, and a formula at a
+    # demanded entry reads only demanded entries below.
+    v_mask = sum({1 << e.args[0] for e in plan.combined if e.op == OP_CHILD})
+    dv_mask = sum({1 << e.args[0] for e in plan.combined if e.op == OP_DESC})
+    demanded = {"V": v_mask, "CV": 0, "DV": dv_mask}
+    answers = sum({1 << index for index in plan.answer_indices})
+    triplets = {}
+    for fragment_id in fragment_ids:
+        triplet = triplets[fragment_id] = bottom_up(
+            cluster.fragment(fragment_id), plan.combined, algebra
+        )[0]
+        root = fragment_id == source_tree.root_fragment_id
+        wanted = (answers, 0, 0) if root else (v_mask, 0, dv_mask)
+        for slot, vector in enumerate((triplet.v, triplet.cv, triplet.dv)):
+            for index, formula in enumerate(vector):
+                if wanted[slot] >> index & 1:
+                    for var in formula.variables():
+                        assert demanded[var.kind] >> var.index & 1, (fragment_id, index, var)
+    # The walk asks for no entry outside the demand set.
+    retained = RetainedSolve()
+    assert assemble(retained, triplets, source_tree, plan.answer_indices)[0] == oracle
+    for fragment_id, entry in retained.snapshot[1].items():
+        if fragment_id != source_tree.root_fragment_id:
+            assert entry.known[0] & ~v_mask == entry.known[1] == entry.known[2] & ~dv_mask == 0
+
+    # Every composition through the one step answers as the oracle.
+    for engine_cls in (ParBoXEngine, LazyParBoXEngine, FullDistParBoXEngine, NaiveDistributedEngine):
+        with engine_cls(cluster, algebra=algebra) as engine:
+            assert list(engine.evaluate_many(plan).answers) == oracle, engine_cls.name
+    selections = plan_batch(
+        [compile_query(text) for text in rng.sample(_SELECTIONS, rng.randint(1, 4))]
+    )
+    with SelectionEngine(cluster, algebra=algebra) as engine:
+        batch = engine.select_many(selections)
+    selected, _ = evaluate_tree_many(whole, selections.combined, selections.answer_indices)
+    assert [bool(paths) for paths in batch.selections] == selected
+    assert list(batch.selections) == [select_centralized(whole, q) for q in selections.queries]
+
+
+class TestDemandAndEngines:
+    @pytest.mark.parametrize("algebra_cls", ALGEBRAS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded(self, seed, shape, algebra_cls):
+        _check_demand_and_engines(seed, shape, algebra_cls)
+
+
 class _Solver:
     """One plan, its current triplets and what its last solve saw."""
 
@@ -147,19 +220,18 @@ class _Solver:
         )
         assert answers == oracle
 
-        # Every retained known value is what a fresh solve reads.
-        fresh = build_equation_system(triplets)
+        # Every retained known value is what a fresh solve of every
+        # entry reads, and the root holds every answer.
+        fresh = {}
+        for fragment_id in reversed(source_tree.fragment_ids()):
+            fresh[fragment_id] = solve_every(triplets[fragment_id], fresh)
         retained_tree, retained = plan.solved.snapshot
         assert retained_tree is source_tree
         assert set(retained) == set(source_tree.fragment_ids())
         for fragment_id, entry in retained.items():
             assert entry.triplet() is triplets[fragment_id]
-            for slot, kind in enumerate(KINDS):
-                known, value = entry.known[slot], entry.value[slot]
-                for index in range(known.bit_length()):
-                    if known >> index & 1:
-                        expected_value = fresh.value_of(Var(fragment_id, kind, index))
-                        assert bool(value >> index & 1) == expected_value
+            for known, value, full in zip(entry.known, entry.value, fresh[fragment_id].value):
+                assert value == full & known
         root = source_tree.root_fragment_id
         for index in plan.answer_indices:
             assert retained[root].known[0] >> index & 1

@@ -51,11 +51,39 @@ class TestVar:
         assert repr(Var("F2", "CV", 8)) == "cF2.8"
         assert repr(Var("F2", "DV", 8)) == "dF2.8"
 
-    def test_evaluate_requires_binding(self, variables):
+    def test_evaluate_reads_binding(self, variables):
         x, _, _ = variables
         assert x.evaluate({x: True}) is True
-        with pytest.raises(KeyError):
-            x.evaluate({})
+        assert x.evaluate({}) is None  # unbound is unknown
+
+
+class TestKleeneEvaluate:
+    """Three-valued evaluation: what LazyParBoX's early stop reads."""
+
+    def test_or_decided_by_a_known_true(self, variables):
+        x, y, _ = variables
+        assert make_or(x, y).evaluate({y: True}) is True
+
+    def test_and_decided_by_a_known_false(self, variables):
+        x, y, _ = variables
+        assert make_and(x, y).evaluate({y: False}) is False
+
+    def test_unknown_propagates(self, variables):
+        x, y, _ = variables
+        assert make_or(x, y).evaluate({y: False}) is None
+        assert make_and(x, y).evaluate({y: True}) is None
+
+    def test_not_of_unknown(self, variables):
+        x, _, _ = variables
+        assert make_not(x).evaluate({}) is None
+        assert make_not(x).evaluate({x: False}) is True
+
+    def test_nested_resolution(self, variables):
+        x, y, z = variables
+        formula = make_and(make_or(x, y), make_not(z))
+        assert formula.evaluate({y: True, z: False}) is True
+        assert formula.evaluate({y: True}) is None
+        assert formula.evaluate({z: True}) is False
 
 
 class TestNotConstructor:

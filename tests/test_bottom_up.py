@@ -148,17 +148,3 @@ class TestTripletObject:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             VectorTriplet("F", [TRUE], [TRUE, FALSE], [TRUE])
-
-    def test_binding_env(self):
-        triplet = VectorTriplet("F", [TRUE, FALSE], [FALSE, FALSE], [TRUE, TRUE])
-        env = triplet.binding_env()
-        assert env[Var("F", "V", 0)] is TRUE
-        assert env[Var("F", "DV", 1)] is TRUE
-        assert len(env) == 6
-
-    def test_substitute_to_ground(self):
-        var = Var("K", "V", 0)
-        triplet = VectorTriplet("F", [var], [var], [var])
-        resolved = triplet.substitute({var: TRUE})
-        assert resolved.is_ground()
-        assert resolved.v[0] is TRUE

@@ -6,7 +6,6 @@ from repro.boolexpr import (
     FALSE,
     TRUE,
     And,
-    BooleanEquationSystem,
     Const,
     Not,
     Or,
@@ -88,27 +87,3 @@ class TestPickling:
         pair = pickle.loads(pickle.dumps((shared, make_or(shared, Var("F", "V", 1)))))
         assert pair[0] is shared
         assert pair[0] in pair[1].children
-
-
-class TestSolverMemoSharing:
-    def test_memo_shared_across_reads(self):
-        system = BooleanEquationSystem()
-        a, b, c = (Var("F", "V", i) for i in range(3))
-        shared = make_or(b, c)
-        system.define(a, shared)
-        system.define(b, TRUE)
-        system.define(c, shared.substitute({b: FALSE, c: FALSE}) | FALSE)  # FALSE
-        assert system.value_of(a) is True
-        # Second read hits the formula memo (observable: no exception on
-        # re-read, identical result, memo keyed by the interned formula).
-        assert system.evaluate(shared) is True
-        assert system._memo[shared] is True
-
-    def test_memo_cleared_on_new_definition(self):
-        system = BooleanEquationSystem()
-        a = Var("F", "V", 0)
-        system.define(a, TRUE)
-        assert system.value_of(a) is True
-        system.define(Var("F", "V", 1), FALSE)
-        assert system._memo == {}
-        assert system.value_of(a) is True

@@ -19,7 +19,7 @@ import pytest
 
 from repro.boolexpr import FALSE, TRUE, Var, make_or
 from repro.core import bottom_up, eval_st
-from repro.core.eval_st import build_equation_system
+from repro.core.eval_st import solve_every
 from repro.fragments import Fragment, FragmentedTree, Placement, SourceTree
 from repro.xmltree.builder import element
 from repro.xmltree.node import XMLNode
@@ -234,10 +234,18 @@ class TestExample33Unification:
         assert triplets["F0"].v[9] == make_or(dy(8), dz(8))
 
     def test_unification_steps(self, triplets):
-        system = build_equation_system(triplets)
-        assert system.value_of(dx(8)) is True  # DVF2 unifies dx8 to 1
-        assert system.value_of(dy(8)) is True  # DVF1 unifies dy8 to dx8
-        assert system.value_of(dz(8)) is False  # DVF3 unifies dz8 to 0
+        # The bottom-up pass: leaves first, each with its children's
+        # values as constants.
+        solved = {}
+        for fragment_id in ("F2", "F3", "F1"):
+            solved[fragment_id] = solve_every(triplets[fragment_id], solved)
+
+        def dv(var):
+            return bool(solved[var.owner].value[2] >> var.index & 1)
+
+        assert dv(dx(8)) is True  # DVF2 unifies dx8 to 1
+        assert dv(dy(8)) is True  # DVF1 unifies dy8 to dx8
+        assert dv(dz(8)) is False  # DVF3 unifies dz8 to 0
 
     def test_answer_is_true(self, triplets):
         tree = build_example_fragments()

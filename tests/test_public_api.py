@@ -69,7 +69,6 @@ class TestPublicClassesDocumentMethods:
             "repro.xmltree.node.XMLNode",
             "repro.xmltree.tree.XMLTree",
             "repro.xpath.qlist.QList",
-            "repro.boolexpr.equations.BooleanEquationSystem",
             "repro.fragments.fragment.FragmentedTree",
             "repro.fragments.source_tree.SourceTree",
             "repro.distsim.cluster.Cluster",

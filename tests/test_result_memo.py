@@ -626,7 +626,6 @@ class TestCachedSizes:
                     piece = triplet.sliced(offset, length)
                     _assert_sizes_are_fresh(piece)
                     _assert_sizes_are_fresh(piece.shifted(offset))
-                _assert_sizes_are_fresh(triplet.substitute(triplet.binding_env()))
 
     def test_slice_of_a_ground_triplet_is_the_plain_slice_known_ground(self, monkeypatch):
         plan = plan_batch([compile_query(text) for text in BOOK.values()])
