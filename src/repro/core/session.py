@@ -277,7 +277,9 @@ class QuerySession:
         execution strategy).  Apply update batches with
         ``maintainer.apply([...])`` and read answer flips off
         ``maintainer.changefeed``; the caller owns the handle (closing
-        it never tears down the shared executor).
+        it never tears down the shared executor).  The whole book is
+        registered in one call: each site is visited once, with the
+        book's combined QList, however many unique queries it holds.
 
         ``names`` labels the subscriptions (default: the query texts,
         or ``q<i>`` for pre-compiled QLists).
@@ -308,8 +310,7 @@ class QuerySession:
             executor=self.engine.executor,
             cache=self.cache,
         )
-        for name, query in zip(name_list, query_list):
-            maintainer.subscribe(name, query)
+        maintainer.subscribe_many(zip(name_list, query_list))
         return maintainer
 
     # ------------------------------------------------------------------

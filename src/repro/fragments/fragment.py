@@ -262,13 +262,32 @@ class FragmentedTree:
             yield fragment_id
             stack.extend(reversed(self.children_of(fragment_id)))
 
+    def _depths(self) -> dict[str, int]:
+        """Every fragment's depth, in pre-order: one O(|F|) pass.
+
+        Computed per call, not kept: splits and merges change the
+        decomposition.  Walks the validated parent map (which lists
+        each fragment's children in document order) rather than
+        :meth:`children_of`, which scans a fragment's nodes.
+        """
+        children: dict[str, list[str]] = {}
+        for child, parent in self._parents.items():
+            children.setdefault(parent, []).append(child)
+        depths: dict[str, int] = {}
+        stack = [(self.root_fragment_id, 0)]
+        while stack:
+            fragment_id, depth = stack.pop()
+            depths[fragment_id] = depth
+            stack.extend((child, depth + 1) for child in reversed(children.get(fragment_id, ())))
+        return depths
+
     def fragments_at_depth(self, depth: int) -> list[str]:
         """All fragment ids at the given fragment-tree depth."""
-        return [fid for fid in self.iter_depth_first() if self.depth_of(fid) == depth]
+        return [fid for fid, at in self._depths().items() if at == depth]
 
     def max_depth(self) -> int:
         """Depth of the deepest fragment."""
-        return max(self.depth_of(fid) for fid in self.fragments)
+        return max(self._depths().values())
 
     # ------------------------------------------------------------------
     # Measurements

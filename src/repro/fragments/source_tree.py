@@ -97,11 +97,16 @@ class SourceTree:
         self._parents = dict(parents)
         self._children = {fid: list(subs) for fid, subs in children.items()}
         self._site_by_fragment = dict(site_by_fragment)
-        preorder, stack = [], [root_fragment_id]
+        # A snapshot: its pre-order and every fragment's depth are
+        # fixed here, in one pass.
+        depths: dict[str, int] = {}
+        stack = [(root_fragment_id, 0)]
         while stack:
-            preorder.append(stack.pop())
-            stack.extend(reversed(self._children[preorder[-1]]))
-        self._preorder = tuple(preorder)
+            fragment_id, depth = stack.pop()
+            depths[fragment_id] = depth
+            stack.extend((child, depth + 1) for child in reversed(self._children[fragment_id]))
+        self._depths = depths
+        self._preorder = tuple(depths)
 
     @classmethod
     def from_fragmented_tree(cls, tree: FragmentedTree, placement: Placement) -> "SourceTree":
@@ -163,20 +168,15 @@ class SourceTree:
 
     def depth_of(self, fragment_id: str) -> int:
         """Fragment-tree depth (root fragment = 0)."""
-        depth = 0
-        current = self._parents[fragment_id]
-        while current is not None:
-            depth += 1
-            current = self._parents[current]
-        return depth
+        return self._depths[fragment_id]
 
     def fragments_at_depth(self, depth: int) -> list[str]:
         """Fragments at the given depth, pre-order."""
-        return [fid for fid in self.iter_fragments_preorder() if self.depth_of(fid) == depth]
+        return [fid for fid, at in self._depths.items() if at == depth]
 
     def max_depth(self) -> int:
         """Depth of the deepest fragment."""
-        return max(self.depth_of(fid) for fid in self.fragment_ids())
+        return max(self._depths.values())
 
     def card(self) -> int:
         """``card(F)``: the number of fragments."""

@@ -78,7 +78,7 @@ class DirtyIndex:
         self._by_key: dict[SegmentKey, Segment] = {}
         self._segment_of: dict[str, Segment] = {}  # subscription name -> segment
         self._combined: Optional[QList] = None
-        self._offsets: Optional[tuple[int, ...]] = None
+        self._spans: Optional[tuple[tuple[int, int], ...]] = None
 
     # ------------------------------------------------------------------
     # Registration (incremental)
@@ -124,7 +124,7 @@ class DirtyIndex:
 
     def _invalidate(self) -> None:
         self._combined = None
-        self._offsets = None
+        self._spans = None
 
     # ------------------------------------------------------------------
     # Lookup
@@ -157,25 +157,29 @@ class DirtyIndex:
     def combined(self) -> QList:
         """The concatenated QList of every live segment (cached)."""
         if self._combined is None:
-            entries: list[QEntry] = []
-            offsets = []
-            for segment in self._segments:
-                offsets.append(append_shifted(entries, segment.qlist))
-            self._combined = QList(
-                entries,
-                source=" + ".join(s.qlist.source or "?" for s in self._segments),
-            )
-            self._offsets = tuple(offsets)
+            self._combined, self._spans = self.joint(self._segments)
         return self._combined
 
     def spans(self) -> tuple[tuple[int, int], ...]:
         """Per-segment ``(offset, length)`` inside the combined QList."""
         self.combined()
-        assert self._offsets is not None
-        return tuple(
-            (offset, len(segment))
-            for offset, segment in zip(self._offsets, self._segments)
+        assert self._spans is not None
+        return self._spans
+
+    @staticmethod
+    def joint(segments: list[Segment]) -> tuple[QList, tuple[tuple[int, int], ...]]:
+        """``segments``' entries appended end to end, and their spans.
+
+        Of all live segments in order this is :meth:`combined`; of a
+        subscribe call's fresh segments it is the one program their
+        first evaluation ships.
+        """
+        entries: list[QEntry] = []
+        spans = tuple(
+            (append_shifted(entries, segment.qlist), len(segment)) for segment in segments
         )
+        source = " + ".join(segment.qlist.source or "?" for segment in segments)
+        return QList(entries, source=source), spans
 
     def plan(self, order: list[str]) -> BatchPlan:
         """A :class:`BatchPlan` view over the current segment table.

@@ -7,8 +7,9 @@ is realized here for a whole *batch* of standing queries at once:
 
 1. **cache** -- for every live segment (unique compiled query) the
    maintainer caches each fragment's 0-based triplet slice and the
-   segment's solved answer; creating a subscription evaluates *only its
-   own segment* (a duplicate evaluates nothing at all);
+   segment's solved answer; a subscribe call evaluates *only its fresh
+   segments*, all of them in one visit per site (a duplicate evaluates
+   nothing at all), so booting a whole book costs one broadcast;
 2. **refresh** -- after an update batch
    (:func:`~repro.stream.updates.apply_updates`), only the dirty
    fragments' sites re-run ``bottomUp`` -- over the combined QList, one
@@ -65,7 +66,7 @@ move/split/merge streams under live books) and the ``stream`` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.boolexpr.compose import DEFAULT_ALGEBRA, FormulaAlgebra
 from repro.core.engine import CONTROL_BYTES, MSG_CONTROL, MSG_TRIPLET_DELTA
@@ -211,26 +212,43 @@ class StreamMaintainer:
     # Registration
     # ------------------------------------------------------------------
     def subscribe(self, name: str, query: Query) -> bool:
-        """Register a standing query; returns its current answer.
+        """Register one standing query; returns its current answer.
 
-        A query compiling to an already-standing segment costs nothing
-        beyond bookkeeping -- no site work, no solve.  A fresh segment
-        is evaluated over every fragment (each site visited once, with
-        the *segment's* QList only -- not the whole combined query) and
-        solved once.
+        :meth:`subscribe_many` with one pair.
         """
-        if name in self._queries:
-            raise ValueError(f"subscription {name!r} already registered")
-        # Compile before touching any state: a parse error must leave
-        # the maintainer exactly as it was.
-        qlist = self.cache.qlist(query)
-        segment, is_new = self.index.subscribe(name, qlist)
-        self._names.append(name)
-        self._queries[name] = qlist
-        if is_new:
-            self._triplets[segment.key] = self._evaluate_segment(segment)
-            self._solve_segment(segment)
-        return self._segment_answers[segment.key]
+        return self.subscribe_many([(name, query)])[0]
+
+    def subscribe_many(self, pairs: Iterable[tuple[str, Query]]) -> list[bool]:
+        """Register ``(name, query)`` pairs; returns their current answers.
+
+        Every query is compiled and every name checked before any state
+        changes, so a parse error or a repeated name anywhere in
+        ``pairs`` leaves the maintainer exactly as it was.  A query
+        compiling to an already-standing segment costs nothing beyond
+        bookkeeping -- no site work, no solve.  The call's fresh
+        segments are evaluated together: one visit per site carrying
+        their joint QList (not the whole standing book), whose combined
+        triplets are cut into per-segment slices; then each fresh
+        segment is solved once.
+        """
+        compiled: dict[str, QList] = {}
+        for name, query in pairs:
+            if name in self._queries or name in compiled:
+                raise ValueError(f"subscription {name!r} already registered")
+            compiled[name] = self.cache.qlist(query)
+        segments, fresh = [], []
+        for name, qlist in compiled.items():
+            segment, is_new = self.index.subscribe(name, qlist)
+            self._names.append(name)
+            self._queries[name] = qlist
+            segments.append(segment)
+            if is_new:
+                fresh.append(segment)
+        if fresh:
+            self._evaluate_segments(fresh)
+            for segment in fresh:
+                self._solve_segment(segment)
+        return [self._segment_answers[segment.key] for segment in segments]
 
     def unsubscribe(self, name: str) -> None:
         """Remove a standing query.
@@ -500,14 +518,24 @@ class StreamMaintainer:
     # ------------------------------------------------------------------
     # Per-segment evaluation / solving
     # ------------------------------------------------------------------
-    def _evaluate_segment(self, segment: Segment) -> dict[str, VectorTriplet]:
-        """Evaluate one segment over every fragment (initial broadcast).
+    def _evaluate_segments(self, segments: list[Segment]) -> None:
+        """Evaluate the given segments over every fragment, together.
 
-        One :class:`SiteJob` per site carrying only the *segment's*
-        QList -- the incremental-subscribe cost is ``O(|q_new| |T|)``
-        site work and one segment-sized triplet per fragment, not a
-        re-evaluation of the whole standing batch.
+        One :class:`SiteJob` per site carrying the segments' joint QList
+        (their entries appended end to end, with their spans as
+        ``segments=``) -- the subscribe cost is ``O(Σ|q_new| |T|)``
+        site work and one visit per site however many segments are
+        fresh, not a re-evaluation of the whole standing book.  When
+        the segments are the whole book, the joint QList *is*
+        :meth:`DirtyIndex.combined`, so the program the first refresh
+        rounds run is already resident.  Each fragment's triplet is cut
+        into per-segment slices (:meth:`VectorTriplet.sliced`) and
+        replaces the segment's cache.
         """
+        if len(segments) == self.index.segment_count:
+            qlist, spans = self.index.combined(), self.index.spans()
+        else:
+            qlist, spans = self.index.joint(segments)
         run = Run(self.cluster, executor=self.executor)
         source_tree = self.cluster.source_tree()
         placement = self.cluster.placement
@@ -524,20 +552,24 @@ class StreamMaintainer:
                     fragments=tuple(
                         self.cluster.fragment(fid) for fid in fragment_ids
                     ),
-                    qlist=segment.qlist,
+                    qlist=qlist,
                     algebra=self.algebra,
                     label="subscribe",
+                    segments=spans,
                 )
             )
-        triplets: dict[str, VectorTriplet] = {}
+        caches: list[dict[str, VectorTriplet]] = [{} for _ in segments]
         for _, outcome in run.parallel(jobs):
             for fragment_outcome in outcome.fragments:
                 run.add_ops(fragment_outcome.nodes_visited, fragment_outcome.qlist_ops)
-                triplets[fragment_outcome.triplet.fragment_id] = (
-                    fragment_outcome.triplet
-                )
+                triplet = fragment_outcome.triplet
+                for cache, (offset, length) in zip(caches, spans):
+                    cache[triplet.fragment_id] = (
+                        triplet if length == len(qlist) else triplet.sliced(offset, length)
+                    )
         run.finish(0.0)
-        return triplets
+        for segment, cache in zip(segments, caches):
+            self._triplets[segment.key] = cache
 
     def _solve_segment(self, segment: Segment) -> bool:
         """Solve one segment's (small) equation system at the coordinator."""
@@ -551,8 +583,10 @@ class StreamMaintainer:
     # ------------------------------------------------------------------
     def recompute_from_scratch(self) -> dict[str, bool]:
         """Re-evaluate and re-solve every segment from scratch; refresh all caches."""
-        for segment in self.index.segments():
-            self._triplets[segment.key] = self._evaluate_segment(segment)
+        segments = self.index.segments()
+        if segments:
+            self._evaluate_segments(segments)
+        for segment in segments:
             segment.solved = RetainedSolve()
             self._solve_segment(segment)
         return self.answers()

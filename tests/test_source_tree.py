@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fragments import Fragment, FragmentedTree, Placement, SourceTree
+from repro.workloads.topologies import bushy_ft3, chain_ft2
 from repro.xmltree import XMLNode, element
 
 
@@ -94,3 +95,52 @@ class TestSourceTree:
         assert source_tree.site_of("F2") == "S2"
         fresh = SourceTree.from_fragmented_tree(chain, placement)
         assert fresh.site_of("F2") == "S0"
+
+
+class _CountingDict(dict):
+    """A dict that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+class TestDepthsInLinearTime:
+    """``max_depth()`` plus every ``fragments_at_depth(d)`` reads each
+    fragment's parent O(1) times, not once per ancestor per call."""
+
+    def _sweep(self, tree):
+        return [tree.fragments_at_depth(depth) for depth in range(tree.max_depth() + 1)]
+
+    def test_source_tree_reads_no_parent_after_construction(self):
+        cluster = chain_ft2(48, 0.2, seed=1)
+        source_tree = cluster.source_tree()
+        source_tree._parents = _CountingDict(source_tree._parents)
+        levels = self._sweep(source_tree)
+        assert levels == [[f"F{depth}"] for depth in range(48)]
+        assert source_tree._parents.reads <= source_tree.card()
+
+    def test_fragmented_tree_sweep_is_linear(self):
+        cluster = chain_ft2(48, 0.2, seed=1)
+        tree = cluster.fragmented_tree
+        tree._parents = _CountingDict(tree._parents)
+        levels = self._sweep(tree)
+        assert levels == [[f"F{depth}"] for depth in range(48)]
+        assert tree._parents.reads <= tree.card()
+
+    def test_depths_agree_on_a_bushy_tree(self):
+        cluster = bushy_ft3(1, nodes_per_mb=24)
+        tree, source_tree = cluster.fragmented_tree, cluster.source_tree()
+        for depth in range(source_tree.max_depth() + 1):
+            expected = [
+                fid for fid in source_tree.fragment_ids() if source_tree.depth_of(fid) == depth
+            ]
+            assert source_tree.fragments_at_depth(depth) == expected
+            assert tree.fragments_at_depth(depth) == expected
+        assert tree.max_depth() == source_tree.max_depth() == 2

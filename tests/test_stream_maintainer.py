@@ -553,6 +553,130 @@ class TestWatchAPI:
                 session.watch([])
 
 
+class _RecordingExecutor(ThreadSiteExecutor):
+    """A thread executor that logs every job it runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.jobs = []
+
+    def run_jobs(self, jobs):
+        self.jobs.extend(jobs)
+        return super().run_jobs(jobs)
+
+
+WATCH_BOOK = [
+    "[//bidder]",
+    '[//probe = "on"]',
+    "[//seal]",
+    "[not(//note)]",
+    "[//bidder]",  # a duplicate rides the first segment
+    '[//item[text() = "3"]]',
+]
+
+
+def _watch_cluster():
+    return star_ft1(4, 0.6, seed=17, nodes_per_mb=24)
+
+
+def _caches(maintainer):
+    """Every segment's per-fragment triplets, in wire form."""
+    return {
+        segment.qlist.source: {
+            fragment_id: triplet.to_obj()
+            for fragment_id, triplet in maintainer._triplets[segment.key].items()
+        }
+        for segment in maintainer.index.segments()
+    }
+
+
+class TestOneVisitWatch:
+    """``watch`` registers the whole book in one call: one visit per site."""
+
+    def test_watch_sends_one_job_per_site_with_the_joint_qlist(self):
+        cluster = _watch_cluster()
+        executor = _RecordingExecutor()
+        with QuerySession(cluster, executor=executor) as session:
+            handle = session.watch(WATCH_BOOK)
+            sites = cluster.source_tree().sites()
+            assert sorted(job.site_id for job in executor.jobs) == sorted(sites)
+            combined = handle.index.combined()
+            assert all(job.qlist is combined for job in executor.jobs)
+            assert all(job.segments == handle.index.spans() for job in executor.jobs)
+            assert handle.index.segment_count == len(set(WATCH_BOOK)) == 5
+            handle.close()
+        executor.close()
+
+    def test_fresh_segments_of_a_later_call_ship_their_joint_qlist_only(self):
+        cluster = _watch_cluster()
+        executor = _RecordingExecutor()
+        with StreamMaintainer(cluster, executor=executor) as maintainer:
+            maintainer.subscribe("first", WATCH_BOOK[0])
+            executor.jobs.clear()
+            answers = maintainer.subscribe_many(
+                [("again", WATCH_BOOK[0]), ("b", WATCH_BOOK[1]), ("c", WATCH_BOOK[2])]
+            )
+            fresh = [compile_query(text) for text in WATCH_BOOK[1:3]]
+            assert len(executor.jobs) == len(cluster.source_tree().sites())
+            for job in executor.jobs:
+                assert len(job.qlist) == sum(len(q) for q in fresh)
+                assert job.segments == ((0, len(fresh[0])), (len(fresh[0]), len(fresh[1])))
+            assert answers == [maintainer.answer(name) for name in ("again", "b", "c")]
+        executor.close()
+
+    @pytest.mark.parametrize("executor_name", ["serial", "process"])
+    def test_watch_equals_one_at_a_time_subscribe(self, executor_name):
+        names = [f"q{index}" for index in range(len(WATCH_BOOK))]
+        one_call, one_each = _watch_cluster(), _watch_cluster()
+        with QuerySession(one_call, executor=executor_name) as session, StreamMaintainer(
+            one_each, executor=executor_name
+        ) as single:
+            watched = session.watch(WATCH_BOOK, names=names)
+            for name, text in zip(names, WATCH_BOOK):
+                single.subscribe(name, text)
+            assert watched.answers() == single.answers()
+            assert _caches(watched) == _caches(single)
+            # The first refresh rounds after either ship the same slices.
+            streams = [
+                update_stream(cluster, rounds=4, ops_per_round=3, seed=31, structural_every=2)
+                for cluster in (one_call, one_each)
+            ]
+            for ops_a, ops_b in zip(*streams):
+                round_a, round_b = watched.apply(ops_a), single.apply(ops_b)
+                assert (round_a.slices_shipped, round_a.traffic_bytes, round_a.changed) == (
+                    round_b.slices_shipped,
+                    round_b.traffic_bytes,
+                    round_b.changed,
+                )
+                assert _caches(watched) == _caches(single)
+            watched.close()
+
+    @pytest.mark.parametrize(
+        "book",
+        [
+            [("a", "[//bidder]"), ("b", "[[nope"), ("c", "[//seal]")],
+            [("a", "[//bidder]"), ("b", "[//seal]"), ("a", "[//note]")],
+            [("a", "[//bidder]"), ("standing", "[//note]")],
+        ],
+        ids=["bad-query", "repeated-name", "name-already-standing"],
+    )
+    def test_a_bad_book_changes_nothing(self, book):
+        from repro.xpath import QueryParseError
+
+        cluster = _watch_cluster()
+        executor = _RecordingExecutor()
+        with StreamMaintainer(cluster, executor=executor) as maintainer:
+            maintainer.subscribe("standing", "[//item]")
+            before = (maintainer.answers(), _caches(maintainer), maintainer.combined_size())
+            executor.jobs.clear()
+            with pytest.raises((QueryParseError, ValueError)):
+                maintainer.subscribe_many(book)
+            assert executor.jobs == []
+            assert (maintainer.answers(), _caches(maintainer), maintainer.combined_size()) == before
+            assert maintainer.names() == ["standing"]
+        executor.close()
+
+
 class TestOracleAgreement:
     """Satellite: incremental maintenance == from-scratch, always."""
 
