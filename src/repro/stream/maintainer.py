@@ -564,9 +564,7 @@ class StreamMaintainer:
                 run.add_ops(fragment_outcome.nodes_visited, fragment_outcome.qlist_ops)
                 triplet = fragment_outcome.triplet
                 for cache, (offset, length) in zip(caches, spans):
-                    cache[triplet.fragment_id] = (
-                        triplet if length == len(qlist) else triplet.sliced(offset, length)
-                    )
+                    cache[triplet.fragment_id] = triplet.sliced(offset, length)
         run.finish(0.0)
         for segment, cache in zip(segments, caches):
             self._triplets[segment.key] = cache
